@@ -825,7 +825,6 @@ impl DesignCmd {
 struct ServeCmd {
     addr: String,
     batch_max: usize,
-    flush_us: u64,
     queue_depth: usize,
     max_inflight: usize,
     conn_limit: u64,
@@ -847,7 +846,6 @@ impl Default for ServeCmd {
         ServeCmd {
             addr: "127.0.0.1:7171".to_string(),
             batch_max: defaults.batch_max,
-            flush_us: defaults.flush_interval.as_micros() as u64,
             queue_depth: defaults.queue_depth,
             max_inflight: defaults.max_inflight_per_conn,
             conn_limit: defaults.max_requests_per_conn,
@@ -878,9 +876,8 @@ impl ServeCmd {
         Flag::value(
             "--batch-max",
             "int",
-            "flush a coalesced batch at this many requests (32)",
+            "most requests one coalesced flush takes (32)",
         ),
-        Flag::value("--flush-us", "µs", "coalescer flush interval (500)"),
         Flag::value(
             "--queue-depth",
             "int",
@@ -951,7 +948,6 @@ impl ServeCmd {
             match flag {
                 "--addr" => cmd.addr = cur.take_value(flag)?,
                 "--batch-max" => cmd.batch_max = cur.take_value(flag)?,
-                "--flush-us" => cmd.flush_us = cur.take_value(flag)?,
                 "--queue-depth" => cmd.queue_depth = cur.take_value(flag)?,
                 "--max-inflight" => cmd.max_inflight = cur.take_value(flag)?,
                 "--conn-limit" => cmd.conn_limit = cur.take_value(flag)?,
@@ -975,7 +971,6 @@ impl ServeCmd {
         ServeConfig {
             addr: self.addr.clone(),
             batch_max: self.batch_max,
-            flush_interval: Duration::from_micros(self.flush_us),
             queue_depth: self.queue_depth,
             max_inflight_per_conn: self.max_inflight,
             max_requests_per_conn: self.conn_limit,
@@ -1014,7 +1009,6 @@ impl ServeCmd {
                 ("event", "listening".into()),
                 ("addr", Json::Str(addr.to_string())),
                 ("batch_max", self.batch_max.into()),
-                ("flush_us", self.flush_us.into()),
                 ("queue_depth", self.queue_depth.into()),
             ];
             if let Some(m) = metrics_addr {
@@ -1026,8 +1020,8 @@ impl ServeCmd {
             println!("{}", Json::obj(fields).render());
         } else {
             println!(
-                "listening on {addr}  (batch-max {}, flush {} µs, queue {})",
-                self.batch_max, self.flush_us, self.queue_depth
+                "listening on {addr}  (batch-max {}, queue {})",
+                self.batch_max, self.queue_depth
             );
             if let Some(m) = metrics_addr {
                 println!("metrics exposition on http://{m}/metrics");
@@ -1736,10 +1730,13 @@ mod tests {
         assert!(err.contains("did you mean"), "{err}");
         let err = ServeCmd::parse(&strings(&["--batchmax", "8"])).unwrap_err();
         assert!(err.contains("did you mean `--batch-max`"), "{err}");
-        let err = ServeCmd::parse(&strings(&["--flush-ms", "5"])).unwrap_err();
-        assert!(err.contains("did you mean `--flush-us`"), "{err}");
+        let err = ServeCmd::parse(&strings(&["--max-inflght", "5"])).unwrap_err();
+        assert!(err.contains("did you mean `--max-inflight`"), "{err}");
         let err = ServeCmd::parse(&strings(&["--queue-deph", "9"])).unwrap_err();
         assert!(err.contains("did you mean `--queue-depth`"), "{err}");
+        // Removed with the flush timer (the coalescer is work-conserving).
+        let err = ServeCmd::parse(&strings(&["--flush-us", "500"])).unwrap_err();
+        assert!(err.contains("unknown option `--flush-us`"), "{err}");
     }
 
     #[test]
@@ -1747,7 +1744,6 @@ mod tests {
         let cmd = ServeCmd::parse(&[]).unwrap();
         assert_eq!(cmd.addr, "127.0.0.1:7171");
         assert_eq!(cmd.batch_max, 32);
-        assert_eq!(cmd.flush_us, 500);
         assert_eq!(cmd.queue_depth, 1024);
         assert_eq!(cmd.conn_limit, 0);
         assert_eq!(cmd.cache_cap, 1 << 16);
@@ -1757,8 +1753,6 @@ mod tests {
             "0.0.0.0:0",
             "--batch-max",
             "8",
-            "--flush-us",
-            "250",
             "--queue-depth",
             "16",
             "--max-inflight",
@@ -1776,7 +1770,6 @@ mod tests {
         .unwrap();
         assert_eq!(cmd.addr, "0.0.0.0:0");
         assert_eq!(cmd.batch_max, 8);
-        assert_eq!(cmd.flush_us, 250);
         assert_eq!(cmd.queue_depth, 16);
         assert_eq!(cmd.max_inflight, 4);
         assert_eq!(cmd.conn_limit, 100);
@@ -1785,7 +1778,8 @@ mod tests {
         assert_eq!(cmd.cache_cap, 0);
         assert!(cmd.json);
         let config = cmd.config();
-        assert_eq!(config.flush_interval, Duration::from_micros(250));
+        assert_eq!(config.batch_max, 8);
+        assert_eq!(config.queue_depth, 16);
         assert!(config.handle_signals);
     }
 

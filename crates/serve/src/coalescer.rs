@@ -2,12 +2,12 @@
 //! eval requests from every connection and flushes them to
 //! [`Engine::evaluate_batch_with`] as one batch.
 //!
-//! A flush happens when the queue reaches the batch-size threshold
-//! (`batch_max`) or when the oldest queued request has waited
-//! `flush_interval` — whichever comes first. Coalescing turns many
-//! single-request callers into engine batches, so the worker pool and the
-//! warm caches amortize across connections, at a bounded latency cost of
-//! at most one flush interval.
+//! The coalescer is work-conserving: whenever the flusher is free and the
+//! queue is not empty, it takes up to `batch_max` requests at once. There
+//! is no deadline to wait for — batches form from whatever arrived while
+//! the previous batch was evaluating, so a lightly loaded server answers
+//! each request as soon as it can, and a saturated one still amortizes the
+//! worker pool and the warm caches across connections.
 //!
 //! Admission control is the queue bound: when `queue_depth` requests are
 //! already waiting, new submissions are shed immediately with
@@ -25,15 +25,13 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Coalescer tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct CoalescerConfig {
-    /// Flush as soon as this many requests are queued (min 1).
+    /// Most requests one flush takes from the queue (min 1).
     pub batch_max: usize,
-    /// Flush when the oldest queued request has waited this long.
-    pub flush_interval: Duration,
     /// Admission bound: submissions beyond this many queued requests are
     /// shed (min 1).
     pub queue_depth: usize,
@@ -43,7 +41,6 @@ impl Default for CoalescerConfig {
     fn default() -> Self {
         CoalescerConfig {
             batch_max: 32,
-            flush_interval: Duration::from_micros(500),
             queue_depth: 1024,
         }
     }
@@ -107,7 +104,6 @@ impl Coalescer {
         let config = CoalescerConfig {
             batch_max: config.batch_max.max(1),
             queue_depth: config.queue_depth.max(1),
-            ..config
         };
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
@@ -191,80 +187,54 @@ impl Coalescer {
             let _ = handle.join();
         } else {
             // No flusher thread (spawn failed at startup): drain inline.
-            drain_inline(&self.shared);
+            // With `draining` set, the loop ends once the queue is empty.
+            flusher_loop(&self.shared);
         }
     }
 }
 
-/// What triggered a flush (for the stats counters).
-enum FlushCause {
-    Size,
-    Timer,
-}
-
+/// Flushes batches until draining completes with an empty queue.
 fn flusher_loop(shared: &Shared) {
-    loop {
-        let Some((batch, cause)) = next_batch(shared) else {
-            return;
-        };
-        flush(shared, batch, &cause);
+    while let Some(batch) = next_batch(shared) {
+        flush(shared, batch);
     }
 }
 
-/// Blocks until a flush is due and takes up to `batch_max` requests, or
-/// returns `None` when draining completes with an empty queue.
-fn next_batch(shared: &Shared) -> Option<(Vec<Pending>, FlushCause)> {
-    let config = &shared.config;
+/// Blocks until the queue is not empty and takes up to `batch_max`
+/// requests, or returns `None` when draining completes with an empty
+/// queue.
+fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
     let mut queue = lock_queue(shared);
-    loop {
-        if queue.pending.len() >= config.batch_max {
-            return Some((take_batch(&mut queue, config.batch_max), FlushCause::Size));
-        }
+    while queue.pending.is_empty() {
         if queue.draining {
-            if queue.pending.is_empty() {
-                return None;
-            }
-            return Some((take_batch(&mut queue, config.batch_max), FlushCause::Timer));
-        }
-        let Some(oldest) = queue.pending.front() else {
-            queue = shared
-                .wake
-                .wait(queue)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            continue;
-        };
-        let deadline = oldest.enqueued_at + config.flush_interval;
-        let now = Instant::now();
-        if now >= deadline {
-            return Some((take_batch(&mut queue, config.batch_max), FlushCause::Timer));
+            return None;
         }
         queue = shared
             .wake
-            .wait_timeout(queue, deadline - now)
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .0;
+            .wait(queue)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
     }
-}
-
-fn take_batch(queue: &mut Queue, batch_max: usize) -> Vec<Pending> {
-    let take = queue.pending.len().min(batch_max);
-    queue.pending.drain(..take).collect()
+    let take = queue.pending.len().min(shared.config.batch_max);
+    Some(queue.pending.drain(..take).collect())
 }
 
 /// Evaluates one batch, streaming each response back to its connection as
 /// the engine finishes it.
-fn flush(shared: &Shared, batch: Vec<Pending>, cause: &FlushCause) {
+fn flush(shared: &Shared, batch: Vec<Pending>) {
     let metrics = &shared.metrics;
     metrics.batches_flushed.inc();
-    match cause {
-        FlushCause::Size => metrics.flushes_by_size.inc(),
-        FlushCause::Timer => metrics.flushes_by_timer.inc(),
+    // Anything short of a full batch is a partial-batch flush: all that
+    // was queued when the flusher came free, or the tail of a drain.
+    if batch.len() == shared.config.batch_max {
+        metrics.flushes_by_size.inc();
+    } else {
+        metrics.flushes_by_timer.inc();
     }
     metrics.evaluated.add(batch.len() as u64);
     let requests: Vec<EvalRequest> = batch.iter().map(|p| p.request.clone()).collect();
     // Split the end-to-end latency at the flush boundary: everything
-    // before `flushed_at` is queue wait (admission control + coalescing
-    // delay), everything after is engine compute for this batch.
+    // before `flushed_at` is queue wait (time spent behind the batch in
+    // flight), everything after is engine compute for this batch.
     let flushed_at = Instant::now();
     // `notify` runs on engine worker threads; `response.index` is the
     // request's position in this batch, which indexes `batch` directly.
@@ -287,25 +257,13 @@ fn flush(shared: &Shared, batch: Vec<Pending>, cause: &FlushCause) {
     });
 }
 
-/// Fallback drain used only when the flusher thread could not be spawned.
-fn drain_inline(shared: &Shared) {
-    loop {
-        let batch = {
-            let mut queue = lock_queue(shared);
-            if queue.pending.is_empty() {
-                return;
-            }
-            take_batch(&mut queue, shared.config.batch_max)
-        };
-        flush(shared, batch, &FlushCause::Timer);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gbd_core::params::SystemParams;
-    use gbd_engine::BackendSpec;
+    use gbd_engine::{BackendSpec, SimulationSpec};
+    use std::sync::mpsc::TryRecvError;
+    use std::time::Duration;
 
     fn request(n: usize) -> EvalRequest {
         EvalRequest::new(
@@ -323,44 +281,108 @@ mod tests {
         )
     }
 
+    /// Submits a simulation campaign that keeps the flusher busy for far
+    /// longer than it takes to submit a handful of requests, and returns
+    /// once the flusher has taken it off the queue. Everything submitted
+    /// afterwards queues behind a busy flusher.
+    fn hold_flusher(coalescer: &Coalescer) -> Receiver<Json> {
+        let slow = EvalRequest::new(
+            SystemParams::paper_defaults(),
+            BackendSpec::Simulation(SimulationSpec {
+                trials: 20_000,
+                ..SimulationSpec::default()
+            }),
+        );
+        let rx = coalescer.submit(u64::MAX, slow).unwrap();
+        while coalescer.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        rx
+    }
+
+    /// Asserts the request from [`hold_flusher`] is still evaluating, so
+    /// the submissions made since all queued behind it.
+    fn assert_still_held(slow: &Receiver<Json>) {
+        assert_eq!(
+            slow.try_recv().unwrap_err(),
+            TryRecvError::Empty,
+            "the slow request finished before the queue was filled"
+        );
+    }
+
     #[test]
     fn coalesces_concurrent_submissions_into_one_batch() {
         let (coalescer, metrics) = start(CoalescerConfig {
             batch_max: 8,
-            flush_interval: Duration::from_millis(200),
             queue_depth: 64,
         });
-        // Submit 8 requests inside one flush interval: the size threshold
-        // fires and they ride a single batch.
+        // 8 requests arrive while the flusher is busy: the next flush takes
+        // all of them, a full batch, as one.
+        let slow = hold_flusher(&coalescer);
         let receivers: Vec<_> = (0..8)
             .map(|i| coalescer.submit(i as u64, request(100 + i)).unwrap())
             .collect();
+        assert_still_held(&slow);
+        assert_eq!(coalescer.queue_depth(), 8);
+        assert!(slow.recv_timeout(Duration::from_secs(120)).is_ok());
         for (i, rx) in receivers.into_iter().enumerate() {
             let response = rx.recv_timeout(Duration::from_secs(30)).unwrap();
             assert_eq!(response.get("id").and_then(Json::as_u64), Some(i as u64));
             assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
         }
-        assert_eq!(metrics.batches_flushed.get(), 1);
-        assert_eq!(metrics.evaluated.get(), 8);
-        assert_eq!(metrics.coalescing_factor(), 8.0);
+        // Two flushes: the slow request alone (partial), then the 8 (full).
+        assert_eq!(metrics.batches_flushed.get(), 2);
+        assert_eq!(metrics.evaluated.get(), 9);
+        assert_eq!(metrics.coalescing_factor(), 4.5);
         assert_eq!(metrics.flushes_by_size.get(), 1);
-        // Every request in the batch was served by the poisson backend;
-        // its per-backend histogram saw all 8.
+        assert_eq!(metrics.flushes_by_timer.get(), 1);
+        // Every request in the full batch was served by the poisson
+        // backend; its per-backend histogram saw all 8.
         assert_eq!(metrics.backend_latency("poisson").unwrap().count(), 8);
+        assert_eq!(metrics.backend_latency("sim").unwrap().count(), 1);
         coalescer.shutdown();
     }
 
     #[test]
-    fn timer_flushes_partial_batches() {
+    fn lone_submission_is_flushed_without_further_traffic() {
         let (coalescer, metrics) = start(CoalescerConfig {
             batch_max: 1000,
-            flush_interval: Duration::from_millis(5),
             queue_depth: 64,
         });
+        // Far below `batch_max` and nothing else arriving: the free
+        // flusher takes it at once rather than waiting for company.
         let rx = coalescer.submit(7, request(50)).unwrap();
         let response = rx.recv_timeout(Duration::from_secs(30)).unwrap();
         assert_eq!(response.get("id").and_then(Json::as_u64), Some(7));
+        assert_eq!(metrics.batches_flushed.get(), 1);
         assert_eq!(metrics.flushes_by_timer.get(), 1);
+        assert_eq!(metrics.flushes_by_size.get(), 0);
+        coalescer.shutdown();
+    }
+
+    #[test]
+    fn submissions_during_a_busy_flush_go_out_as_one_batch() {
+        const N: usize = 5;
+        let (coalescer, metrics) = start(CoalescerConfig {
+            batch_max: 1000,
+            queue_depth: 64,
+        });
+        let slow = hold_flusher(&coalescer);
+        let receivers: Vec<_> = (0..N)
+            .map(|i| coalescer.submit(i as u64, request(60 + 30 * i)).unwrap())
+            .collect();
+        assert_still_held(&slow);
+        assert!(slow.recv_timeout(Duration::from_secs(120)).is_ok());
+        for (i, rx) in receivers.into_iter().enumerate() {
+            let response = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+            assert_eq!(response.get("id").and_then(Json::as_u64), Some(i as u64));
+            assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+        }
+        // The slow request's flush, then exactly one flush for all N.
+        assert_eq!(metrics.batches_flushed.get(), 2);
+        assert_eq!(metrics.evaluated.get(), N as u64 + 1);
+        assert_eq!(metrics.flushes_by_timer.get(), 2);
+        assert_eq!(metrics.flushes_by_size.get(), 0);
         coalescer.shutdown();
     }
 
@@ -368,10 +390,10 @@ mod tests {
     fn sheds_when_queue_is_full() {
         let (coalescer, metrics) = start(CoalescerConfig {
             batch_max: 1000,
-            // Long enough that nothing flushes while we overfill.
-            flush_interval: Duration::from_secs(60),
             queue_depth: 3,
         });
+        // The busy flusher takes nothing from the queue while we overfill.
+        let slow = hold_flusher(&coalescer);
         let kept: Vec<_> = (0..3)
             .map(|i| coalescer.submit(i, request(40)).unwrap())
             .collect();
@@ -379,10 +401,12 @@ mod tests {
             coalescer.submit(99, request(40)).unwrap_err(),
             SubmitError::Overloaded
         );
+        assert_still_held(&slow);
         assert_eq!(metrics.shed.get(), 1);
         assert_eq!(coalescer.queue_depth(), 3);
         // Shutdown drains the admitted three; each still gets its answer.
         coalescer.shutdown();
+        assert!(slow.recv_timeout(Duration::from_secs(30)).is_ok());
         for rx in kept {
             assert!(rx.recv_timeout(Duration::from_secs(30)).is_ok());
         }

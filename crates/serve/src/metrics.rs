@@ -56,15 +56,18 @@ pub struct ServerMetrics {
     pub rejected: Arc<Counter>,
     /// Batches flushed to the engine.
     pub batches_flushed: Arc<Counter>,
-    /// Flushes triggered by reaching the batch-size threshold.
+    /// Full flushes: the flusher took `batch_max` requests at once.
     pub flushes_by_size: Arc<Counter>,
-    /// Flushes triggered by the flush-interval timer (or drain).
+    /// Partial-batch flushes: the flusher took fewer than `batch_max`
+    /// because that was all that was queued when it came free, or because
+    /// the coalescer was draining. (The name predates the work-conserving
+    /// coalescer and is kept for wire and Prometheus compatibility.)
     pub flushes_by_timer: Arc<Counter>,
     /// End-to-end latency (admission to response ready) of eval requests.
     pub latency: Arc<Histogram>,
     /// Queue-wait component: admission to the batch flush that carried the
-    /// request. Dominated by the flush interval under light load and by
-    /// backlog under heavy load.
+    /// request. Near zero under light load (the flusher is free), and
+    /// dominated by the batch in flight and the backlog under heavy load.
     pub queue_wait: Arc<Histogram>,
     /// Compute component: batch flush to that request's response being
     /// ready. `latency ≈ queue_wait + compute` per request.
@@ -372,9 +375,10 @@ pub struct MetricsSnapshot {
     pub rejected: u64,
     /// Batches flushed to the engine.
     pub batches_flushed: u64,
-    /// Flushes triggered by batch size.
+    /// Full flushes of `batch_max` requests.
     pub flushes_by_size: u64,
-    /// Flushes triggered by the timer (or drain).
+    /// Partial-batch flushes (fewer than `batch_max`, taken as soon as the
+    /// flusher was free or while draining).
     pub flushes_by_timer: u64,
     /// Mean requests per flushed batch.
     pub coalescing_factor: f64,

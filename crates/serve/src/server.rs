@@ -28,11 +28,8 @@ pub struct ServeConfig {
     /// Address to bind, e.g. `127.0.0.1:7070` (`:0` picks an ephemeral
     /// port, reported by [`Server::local_addr`]).
     pub addr: String,
-    /// Coalescer: flush when this many requests are queued.
+    /// Coalescer: most requests one flush takes from the queue.
     pub batch_max: usize,
-    /// Coalescer: flush when the oldest queued request has waited this
-    /// long.
-    pub flush_interval: Duration,
     /// Admission bound: queued requests beyond this are shed with an
     /// `overloaded` error.
     pub queue_depth: usize,
@@ -73,7 +70,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             batch_max: 32,
-            flush_interval: Duration::from_micros(500),
             queue_depth: 1024,
             max_inflight_per_conn: 64,
             max_requests_per_conn: 0,
@@ -195,7 +191,6 @@ impl Server {
             Arc::clone(&metrics),
             CoalescerConfig {
                 batch_max: config.batch_max,
-                flush_interval: config.flush_interval,
                 queue_depth: config.queue_depth,
             },
         );

@@ -107,6 +107,12 @@ done
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# perfbench is its own Cargo workspace, so the workspace test run never
+# builds it. Its generator self-tests run here, and building them also
+# compiles the benchmark against the current crate APIs.
+echo "==> cargo test --offline --manifest-path perfbench/Cargo.toml"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # Serve smoke: start the server on an ephemeral port, round-trip a mixed
 # analytical+simulation batch through the load generator, assert the
 # coalescer actually batched (factor > 1), and require a clean drain on

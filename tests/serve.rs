@@ -96,6 +96,43 @@ fn error_code(response: &Json) -> Option<&str> {
     response.get("error")?.get("code")?.as_str()
 }
 
+/// An eval line for a simulation campaign that keeps the server's flusher
+/// busy for far longer than a test takes to send a few more lines.
+fn slow_eval(id: u64) -> String {
+    format!(r#"{{"id":{id},"verb":"eval","backend":{{"kind":"sim","trials":20000}}}}"#)
+}
+
+/// The `metrics` verb's server section, read over `client`.
+fn server_metrics(client: &mut Client) -> Json {
+    client.send(r#"{"id":0,"verb":"metrics","sections":["server"]}"#);
+    client
+        .recv()
+        .get("metrics")
+        .and_then(|m| m.get("server"))
+        .expect("server section")
+        .clone()
+}
+
+/// Polls [`server_metrics`] on `probe` until `done` accepts the section,
+/// and returns it. Fails after 30 s.
+fn poll_server_metrics(probe: &mut Client, done: impl Fn(&Json) -> bool) -> Json {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let server = server_metrics(probe);
+        if done(&server) {
+            return server;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "server metrics never converged: {server:?}"
+        );
+    }
+}
+
+fn counter(section: &Json, key: &str) -> Option<u64> {
+    section.get(key).and_then(Json::as_u64)
+}
+
 /// Injected panics are expected; keep their backtrace spam out of the test
 /// output while leaving real panics loud.
 fn silence_injected_panics() {
@@ -129,12 +166,11 @@ fn mix_params(seq: usize) -> SystemParams {
 fn eight_clients_match_direct_evaluate_batch_bit_for_bit() {
     const CLIENTS: usize = 8;
     const PER_CLIENT: usize = 16;
-    // A generous flush window, so the 128 pipelined requests pile into
-    // size-triggered batches rather than many timer-triggered singletons.
+    // The 128 pipelined requests pile up behind each batch in flight, so
+    // the work-conserving flusher takes them in multi-request batches.
     let server = start(
         ServeConfig {
             batch_max: 32,
-            flush_interval: Duration::from_millis(100),
             ..ServeConfig::default()
         },
         Engine::new(),
@@ -220,12 +256,11 @@ fn eight_clients_match_direct_evaluate_batch_bit_for_bit() {
 
 #[test]
 fn queue_overflow_sheds_with_structured_errors_and_keeps_serving() {
-    // Tiny queue, no size trigger, and a flush interval long enough that
-    // nothing drains while we overfill.
+    // Tiny queue and no size trigger; a slow simulation request keeps the
+    // flusher busy, so nothing drains while we overfill.
     let server = start(
         ServeConfig {
             batch_max: 1000,
-            flush_interval: Duration::from_secs(30),
             queue_depth: 2,
             ..ServeConfig::default()
         },
@@ -233,40 +268,35 @@ fn queue_overflow_sheds_with_structured_errors_and_keeps_serving() {
     );
 
     let mut client = Client::connect(server.addr);
-    for id in 0..20 {
+    let mut probe = Client::connect(server.addr);
+    client.send(&slow_eval(0));
+    // Wait until the flusher has taken the slow request off the queue.
+    poll_server_metrics(&mut probe, |m| {
+        counter(m, "admitted") == Some(1) && counter(m, "queue_depth") == Some(0)
+    });
+    for id in 1..=20 {
         client.send(&format!(
             r#"{{"id":{id},"verb":"eval","params":{{"n":60}}}}"#
         ));
     }
     // The server keeps serving while 18 requests sit shed and 2 sit
     // queued: a second connection gets an immediate pong and sees the
-    // shed count in stats.
-    let mut probe = Client::connect(server.addr);
+    // shed count in its metrics.
     probe.send(r#"{"id":1,"verb":"ping"}"#);
     assert_eq!(probe.recv().get("pong").and_then(Json::as_bool), Some(true));
     // The 20 pipelined sends race the server's reader thread, so poll until
     // the shed count converges rather than asserting on the first scrape.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let shed = loop {
-        probe.send(r#"{"id":2,"verb":"stats"}"#);
-        let shed = probe
-            .recv()
-            .get("stats")
-            .and_then(|s| s.get("shed"))
-            .and_then(Json::as_u64);
-        if shed == Some(18) || std::time::Instant::now() >= deadline {
-            break shed;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    assert_eq!(shed, Some(18));
+    let converged = poll_server_metrics(&mut probe, |m| counter(m, "shed") == Some(18));
+    // Still held: the two admitted requests have not been flushed yet.
+    assert_eq!(counter(&converged, "queue_depth"), Some(2));
 
-    // Drain: the two admitted requests must still complete.
+    // Drain: the slow request and the two admitted ones must still
+    // complete.
     server.handle.shutdown();
-    for id in 0..20u64 {
+    for id in 0..=20u64 {
         let response = client.recv();
         assert_eq!(response.get("id").and_then(Json::as_u64), Some(id));
-        if id < 2 {
+        if id <= 2 {
             assert_eq!(
                 response.get("ok").and_then(Json::as_bool),
                 Some(true),
@@ -377,7 +407,6 @@ fn per_connection_request_limit_is_enforced() {
     let server = start(
         ServeConfig {
             max_requests_per_conn: 2,
-            flush_interval: Duration::from_millis(1),
             ..ServeConfig::default()
         },
         Engine::new(),
@@ -413,36 +442,53 @@ fn per_connection_request_limit_is_enforced() {
 #[test]
 fn injected_worker_panic_fails_only_the_affected_request() {
     silence_injected_panics();
-    // One injected panic per flushed batch; force all 8 requests into a
-    // single batch so exactly one is affected.
+    // One injected panic per flushed batch: however the 8 pipelined
+    // requests split into batches, each batch loses exactly one request.
     let server = start(
         ServeConfig {
             batch_max: 8,
-            flush_interval: Duration::from_millis(200),
             ..ServeConfig::default()
         },
         Engine::new().with_chaos(ChaosPlan::new(2008).with_worker_panics(1)),
     );
     let mut client = Client::connect(server.addr);
+    let params = |id: usize| SystemParams::paper_defaults().with_n_sensors(60 + 30 * id);
     for id in 0..8 {
         client.send(&format!(
             r#"{{"id":{id},"verb":"eval","params":{{"n":{}}}}}"#,
-            60 + 30 * id
+            params(id).n_sensors()
         ));
     }
+    // The survivors must match a fault-free engine bit for bit.
+    let requests: Vec<EvalRequest> = (0..8)
+        .map(|id| EvalRequest::new(params(id), BackendSpec::ms_default()))
+        .collect();
+    let direct = Engine::new().evaluate_batch(&requests);
     let mut panicked = 0;
     let mut succeeded = 0;
-    for id in 0..8u64 {
+    for (id, expected) in direct.iter().enumerate() {
         let response = client.recv();
-        assert_eq!(response.get("id").and_then(Json::as_u64), Some(id));
+        assert_eq!(response.get("id").and_then(Json::as_u64), Some(id as u64));
         match error_code(&response) {
             Some("worker_panicked") => panicked += 1,
-            None => succeeded += 1,
+            None => {
+                succeeded += 1;
+                let detection = response.get("detection").unwrap().as_arr().unwrap();
+                let pair = detection[0].as_arr().unwrap();
+                let expect = expected.detection[0];
+                assert_eq!(pair[0].as_usize(), Some(expect.0));
+                assert_eq!(pair[1].as_f64().map(f64::to_bits), Some(expect.1.to_bits()));
+            }
             other => panic!("unexpected error code {other:?}"),
         }
     }
-    assert_eq!(panicked, 1, "exactly one request should absorb the panic");
-    assert_eq!(succeeded, 7);
+    let batches = counter(&server_metrics(&mut client), "batches_flushed").unwrap();
+    assert!(batches >= 1);
+    assert_eq!(
+        panicked, batches,
+        "exactly one request per batch should absorb the panic"
+    );
+    assert_eq!(succeeded + panicked, 8);
     // Neither the batch, the connection, nor the server died with it.
     client.send(r#"{"id":99,"verb":"ping"}"#);
     assert_eq!(
@@ -458,16 +504,10 @@ fn injected_worker_panic_fails_only_the_affected_request() {
 
 #[test]
 fn shutdown_verb_drains_and_stops_the_server() {
-    let server = start(
-        ServeConfig {
-            flush_interval: Duration::from_millis(500),
-            ..ServeConfig::default()
-        },
-        Engine::new(),
-    );
+    let server = start(ServeConfig::default(), Engine::new());
     let mut client = Client::connect(server.addr);
-    // An eval queued right before shutdown still gets its answer.
-    client.send(r#"{"id":1,"verb":"eval","params":{"n":60}}"#);
+    // A slow eval still in flight at shutdown still gets its answer.
+    client.send(&slow_eval(1));
     client.send(r#"{"id":2,"verb":"shutdown"}"#);
     let first = client.recv();
     assert_eq!(first.get("id").and_then(Json::as_u64), Some(1));
@@ -487,13 +527,7 @@ fn shutdown_verb_drains_and_stops_the_server() {
 
 #[test]
 fn metrics_verb_selects_sections_and_aliases_stay_byte_compatible() {
-    let server = start(
-        ServeConfig {
-            flush_interval: Duration::from_millis(1),
-            ..ServeConfig::default()
-        },
-        Engine::new(),
-    );
+    let server = start(ServeConfig::default(), Engine::new());
     let mut client = Client::connect(server.addr);
     client.send(r#"{"id":1,"verb":"eval","params":{"n":60}}"#);
     assert_eq!(client.recv().get("ok").and_then(Json::as_bool), Some(true));
@@ -600,7 +634,6 @@ fn metrics_verb_selects_sections_and_aliases_stay_byte_compatible() {
 fn watch_streams_bounded_windows_and_unwatch_ends_open_streams() {
     let server = start(
         ServeConfig {
-            flush_interval: Duration::from_millis(1),
             obs_window: Duration::from_millis(10),
             ..ServeConfig::default()
         },
@@ -685,7 +718,6 @@ fn watch_streams_bounded_windows_and_unwatch_ends_open_streams() {
 fn metrics_exposition_endpoint_serves_prometheus_text() {
     let server = Server::bind(
         ServeConfig {
-            flush_interval: Duration::from_millis(1),
             metrics_addr: Some("127.0.0.1:0".to_string()),
             obs_window: Duration::from_millis(10),
             ..ServeConfig::default()
@@ -753,7 +785,6 @@ proptest! {
         let server = start(
             ServeConfig {
                 batch_max,
-                flush_interval: Duration::from_millis(2),
                 ..ServeConfig::default()
             },
             // The cheap closed-form backend keeps 5 cases × 32 requests
