@@ -115,7 +115,7 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Key of the geometry layer: everything the per-period stage inputs of a
@@ -173,6 +173,46 @@ thread_local! {
         table: PmfTable::new(),
         chain: Scratch::new(),
     });
+}
+
+/// A batch planned by [`Engine::plan_batch`]: the order its requests are
+/// evaluated in, and the faults (if any) injected into it.
+#[derive(Debug, Clone)]
+pub struct BatchPlan {
+    /// `schedule[slot]` is the index of the request evaluated at `slot`.
+    schedule: Vec<usize>,
+    faults: BatchFaults,
+}
+
+impl BatchPlan {
+    /// Slots in the batch: one per request.
+    pub fn len(&self) -> usize {
+        self.schedule.len()
+    }
+
+    /// Whether the batch is empty.
+    pub fn is_empty(&self) -> bool {
+        self.schedule.is_empty()
+    }
+
+    /// The index, in the planned request slice, of the request evaluated
+    /// at `slot`.
+    pub fn request_index(&self, slot: usize) -> Option<usize> {
+        self.schedule.get(slot).copied()
+    }
+}
+
+/// One store record a request's evaluation produced: `(kind, key, value)`.
+type Spill = (u8, Vec<u8>, Vec<u8>);
+
+/// What one request's evaluation accumulates beside its value: the cache
+/// accounting its response reports, and the store records its cache
+/// misses produced. The records are written in one append when the
+/// request ends (see [`Engine::write_spills`]).
+#[derive(Default)]
+struct RequestCtx {
+    counters: RequestCounters,
+    spills: Mutex<Vec<Spill>>,
 }
 
 /// The batched evaluation engine. See the crate docs for the architecture.
@@ -321,6 +361,13 @@ impl Engine {
         self
     }
 
+    /// Size of the worker pool: the parallelism [`Engine::evaluate_batch`]
+    /// fans out over, and the number of long-lived workers a serving
+    /// layer runs over [`Engine::evaluate_planned`].
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
     /// Evaluates one request (equivalent to a single-element batch).
     pub fn evaluate(&self, request: &EvalRequest) -> EvalResponse {
         let faults = self.batch_faults(1);
@@ -336,10 +383,11 @@ impl Engine {
 
     /// Like [`Engine::evaluate_batch`], additionally invoking `notify`
     /// with each response **as soon as it completes**, from the worker
-    /// thread that computed it. This is the batch-handle surface a
-    /// serving layer coalesces onto: early finishers stream back to their
+    /// thread that computed it: early finishers stream back to their
     /// callers while the rest of the batch is still evaluating, instead of
-    /// waiting for the slowest request.
+    /// waiting for the slowest request. It runs [`Engine::plan_batch`] and
+    /// [`Engine::evaluate_planned`] over a pool scoped to this call; a
+    /// serving layer with long-lived workers calls those two directly.
     ///
     /// `notify` observes every response exactly once in the common case;
     /// if a worker thread is killed outside the per-request panic boundary
@@ -354,11 +402,9 @@ impl Engine {
     where
         F: Fn(&EvalResponse) + Sync,
     {
-        let faults = self.batch_faults(requests.len());
-        let schedule = self.schedule(requests);
-        let computed = pool::run_indexed(requests.len(), self.workers, |slot| {
-            let i = schedule[slot];
-            let response = self.evaluate_at(i, &requests[i], &faults);
+        let plan = self.plan_batch(requests);
+        let computed = pool::run_indexed(plan.len(), self.workers, |slot| {
+            let response = self.evaluate_planned(&plan, requests, slot);
             notify(&response);
             response
         });
@@ -367,6 +413,39 @@ impl Engine {
         let mut responses = computed;
         responses.sort_unstable_by_key(|response| response.index);
         responses
+    }
+
+    /// Plans a batch for slot-by-slot evaluation: its execution schedule
+    /// (same-geometry requests adjacent, warm geometries first) and the
+    /// faults a chaos plan injects into it. A serving layer plans each
+    /// batch once, then lets any number of workers claim its slots
+    /// `0..plan.len()` in order and run each through
+    /// [`Engine::evaluate_planned`] — the same schedule and faults
+    /// [`Engine::evaluate_batch`] uses, without a barrier at the end of
+    /// the batch.
+    pub fn plan_batch(&self, requests: &[EvalRequest]) -> BatchPlan {
+        BatchPlan {
+            schedule: self.schedule(requests),
+            faults: self.batch_faults(requests.len()),
+        }
+    }
+
+    /// Evaluates the request scheduled at `slot` of a planned batch;
+    /// `requests` must be the slice `plan` was made from. The response's
+    /// [`EvalResponse::index`] is the request's position in `requests`.
+    ///
+    /// # Panics
+    ///
+    /// When `slot >= plan.len()`, or `requests` is shorter than the
+    /// planned batch.
+    pub fn evaluate_planned(
+        &self,
+        plan: &BatchPlan,
+        requests: &[EvalRequest],
+        slot: usize,
+    ) -> EvalResponse {
+        let i = plan.schedule[slot];
+        self.evaluate_at(i, &requests[i], &plan.faults)
     }
 
     /// Execution order of a batch: request indices grouped by geometry
@@ -585,24 +664,45 @@ impl Engine {
         self.store_errors.store(0, Ordering::Relaxed);
     }
 
-    /// Appends one `(key, value)` pair to the attached store, if any.
-    /// Called from compute closures, which run outside every shard lock,
-    /// so spilling serializes on the store mutex only — never on a cache
-    /// shard. Failures are counted, not propagated: durability is an
-    /// optimization, the computed value is already correct.
-    fn spill(&self, kind: u8, encode: impl FnOnce() -> (Vec<u8>, Vec<u8>)) {
+    /// Encodes one freshly computed entry into the request's spill
+    /// buffer, if a store is attached. Called from compute closures,
+    /// which run outside every shard lock; the buffer reaches the store
+    /// in one append at the end of the request ([`Engine::write_spills`]).
+    fn spill(&self, ctx: &RequestCtx, kind: u8, encode: impl FnOnce() -> (Vec<u8>, Vec<u8>)) {
+        if self.store.is_none() {
+            return;
+        }
+        let (key, value) = encode();
+        ctx.spills
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .push((kind, key, value));
+    }
+
+    /// Writes a request's spilled records to the attached store as one
+    /// [`Store::append_many`]: one lock and one write per request, however
+    /// many entries it computed. Failures are counted, not propagated:
+    /// durability is an optimization, the computed values are already
+    /// correct.
+    fn write_spills(&self, spills: Mutex<Vec<Spill>>) {
         let Some(store) = &self.store else {
             return;
         };
-        let (key, value) = encode();
-        match store.append(kind, &key, &value) {
-            Ok(()) => {
-                self.store_spills.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.store_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        let spills = spills
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if spills.is_empty() {
+            return;
         }
+        let records: Vec<(u8, &[u8], &[u8])> = spills
+            .iter()
+            .map(|(kind, key, value)| (*kind, key.as_slice(), value.as_slice()))
+            .collect();
+        let counter = match store.append_many(&records) {
+            Ok(()) => &self.store_spills,
+            Err(_) => &self.store_errors,
+        };
+        counter.fetch_add(records.len() as u64, Ordering::Relaxed);
     }
 
     fn evaluate_at(
@@ -611,14 +711,14 @@ impl Engine {
         request: &EvalRequest,
         faults: &BatchFaults,
     ) -> EvalResponse {
-        let counters = RequestCounters::default();
+        let ctx = RequestCtx::default();
         let start = Instant::now();
         let budget = match request.options.deadline {
             Some(deadline) => ComputeBudget::with_deadline(deadline),
             None => ComputeBudget::unlimited(),
         };
 
-        let mut outcome = self.attempt_primary(index, request, &counters, &budget, faults);
+        let mut outcome = self.attempt_primary(index, request, &ctx, &budget, faults);
         let mut served_by = request.backend.name();
         let mut degraded = false;
         if outcome.is_err() {
@@ -629,7 +729,7 @@ impl Engine {
                     break;
                 }
                 if let Ok(output) =
-                    self.guarded_eval(index, request, *fallback, &counters, &budget, faults, 1)
+                    self.guarded_eval(index, request, *fallback, &ctx, &budget, faults, 1)
                 {
                     outcome = Ok(output);
                     served_by = fallback.name();
@@ -640,6 +740,11 @@ impl Engine {
             }
         }
 
+        // Every record the request computed reaches the store before its
+        // response exists — also when it panicked or ran out of budget
+        // after computing some of them.
+        let cache = ctx.counters.stats();
+        self.write_spills(ctx.spills);
         let duration = start.elapsed();
         let detection = match &outcome {
             Ok(output) => request
@@ -657,7 +762,7 @@ impl Engine {
             outcome,
             detection,
             duration,
-            cache: counters.stats(),
+            cache,
         }
     }
 
@@ -669,7 +774,7 @@ impl Engine {
         &self,
         index: usize,
         request: &EvalRequest,
-        counters: &RequestCounters,
+        ctx: &RequestCtx,
         budget: &ComputeBudget,
         faults: &BatchFaults,
     ) -> Result<EvalOutput, EvalError> {
@@ -691,7 +796,7 @@ impl Engine {
                 index,
                 request,
                 request.backend,
-                counters,
+                ctx,
                 budget,
                 faults,
                 attempt,
@@ -721,7 +826,7 @@ impl Engine {
         index: usize,
         request: &EvalRequest,
         backend: BackendSpec,
-        counters: &RequestCounters,
+        ctx: &RequestCtx,
         budget: &ComputeBudget,
         faults: &BatchFaults,
         attempt: u32,
@@ -739,10 +844,9 @@ impl Engine {
             } else {
                 let key = result_key(&request.params, &backend);
                 self.results
-                    .try_get_or_insert_with(key.clone(), counters, || {
-                        let output =
-                            self.compute(&request.params, backend, counters, budget)?;
-                        self.spill(persist::KIND_RESULT, || {
+                    .try_get_or_insert_with(key.clone(), &ctx.counters, || {
+                        let output = self.compute(&request.params, backend, ctx, budget)?;
+                        self.spill(ctx, persist::KIND_RESULT, || {
                             (
                                 persist::encode_result_key(&key),
                                 persist::encode_output(&output),
@@ -806,12 +910,12 @@ impl Engine {
         &self,
         params: &SystemParams,
         backend: BackendSpec,
-        counters: &RequestCounters,
+        ctx: &RequestCtx,
         budget: &ComputeBudget,
     ) -> Result<EvalOutput, CoreError> {
         match backend {
             BackendSpec::Ms(opts) => self
-                .compute_ms(params, &opts, counters, budget)
+                .compute_ms(params, &opts, ctx, budget)
                 .map(EvalOutput::Analysis),
             other => self.compute_cold(params, other, budget),
         }
@@ -824,7 +928,7 @@ impl Engine {
         &self,
         params: &SystemParams,
         opts: &MsOptions,
-        counters: &RequestCounters,
+        ctx: &RequestCtx,
         budget: &ComputeBudget,
     ) -> Result<ReportDistribution, CoreError> {
         // Validate before touching the geometry layer: a warm entry for
@@ -832,20 +936,20 @@ impl Engine {
         opts.validate()?;
         let n = params.n_sensors();
         let geo_key = geometry_key(params, opts);
-        let inputs = self
-            .geometry
-            .try_get_or_insert_with(geo_key.clone(), counters, || {
-                let steps = vec![params.step(); params.m_periods()];
-                let inputs =
-                    ms_approach::stage_inputs(params.sensing_range(), &steps, n, opts)?;
-                self.spill(persist::KIND_GEOMETRY, || {
-                    (
-                        persist::encode_geometry_key(&geo_key),
-                        persist::encode_stage_inputs(&inputs),
-                    )
-                });
-                Ok::<_, CoreError>(inputs)
-            })?;
+        let inputs =
+            self.geometry
+                .try_get_or_insert_with(geo_key.clone(), &ctx.counters, || {
+                    let steps = vec![params.step(); params.m_periods()];
+                    let inputs =
+                        ms_approach::stage_inputs(params.sensing_range(), &steps, n, opts)?;
+                    self.spill(ctx, persist::KIND_GEOMETRY, || {
+                        (
+                            persist::encode_geometry_key(&geo_key),
+                            persist::encode_stage_inputs(&inputs),
+                        )
+                    });
+                    Ok::<_, CoreError>(inputs)
+                })?;
 
         let field_area = params.field_area();
         let pd = params.pd();
@@ -864,35 +968,37 @@ impl Engine {
                         cap: stage.cap,
                         eps: f64_key(opts.eps),
                     };
-                    let entry =
-                        self.stages
-                            .get_or_insert_with(stage_key.clone(), counters, || {
-                                let (dist, dropped) = stage_distribution_with(
-                                    &stage.areas,
-                                    field_area,
-                                    n,
-                                    pd,
-                                    stage.cap,
-                                    opts.eps,
-                                    &mut scratch.qn,
-                                    &mut scratch.conv,
-                                );
-                                let accuracy = stage_accuracy_with(
-                                    stage.areas.iter().sum(),
-                                    field_area,
-                                    n,
-                                    stage.cap,
-                                    &mut scratch.table,
-                                );
-                                let value = (dist, accuracy, dropped);
-                                self.spill(persist::KIND_STAGE, || {
-                                    (
-                                        persist::encode_stage_key(&stage_key),
-                                        persist::encode_stage_value(&value),
-                                    )
-                                });
-                                value
+                    let entry = self.stages.get_or_insert_with(
+                        stage_key.clone(),
+                        &ctx.counters,
+                        || {
+                            let (dist, dropped) = stage_distribution_with(
+                                &stage.areas,
+                                field_area,
+                                n,
+                                pd,
+                                stage.cap,
+                                opts.eps,
+                                &mut scratch.qn,
+                                &mut scratch.conv,
+                            );
+                            let accuracy = stage_accuracy_with(
+                                stage.areas.iter().sum(),
+                                field_area,
+                                n,
+                                stage.cap,
+                                &mut scratch.table,
+                            );
+                            let value = (dist, accuracy, dropped);
+                            self.spill(ctx, persist::KIND_STAGE, || {
+                                (
+                                    persist::encode_stage_key(&stage_key),
+                                    persist::encode_stage_value(&value),
+                                )
                             });
+                            value
+                        },
+                    );
                     budget.complete_stage();
                     Ok((entry.0.clone(), entry.1, entry.2))
                 })
@@ -1336,6 +1442,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn planned_slots_reproduce_the_batch() {
+        // Claiming every slot of a plan, in any order, yields exactly the
+        // responses `evaluate_batch` returns: same schedule, same values.
+        let grid = fig9a_grid();
+        let batch = Engine::with_workers(2).evaluate_batch(&grid);
+        let engine = Engine::with_workers(2);
+        let plan = engine.plan_batch(&grid);
+        assert_eq!(plan.len(), grid.len());
+        let mut planned: Vec<EvalResponse> = (0..plan.len())
+            .rev()
+            .map(|slot| engine.evaluate_planned(&plan, &grid, slot))
+            .collect();
+        planned.sort_unstable_by_key(|response| response.index);
+        for (a, b) in batch.iter().zip(&planned) {
+            assert_eq!(a.index, b.index);
+            assert_eq!(a.outcome, b.outcome);
+            assert_eq!(a.detection, b.detection);
+        }
+        let mut indices: Vec<usize> = (0..plan.len())
+            .filter_map(|slot| plan.request_index(slot))
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..grid.len()).collect::<Vec<_>>());
+        assert_eq!(plan.request_index(plan.len()), None);
+    }
+
     fn temp_store(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("gbd-engine-store-{}-{name}", std::process::id()));
@@ -1369,6 +1502,25 @@ mod tests {
         }
         // Every request answered straight from the seeded result layer.
         assert_eq!(hits, grid.len() as u64);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_spilled_record_is_in_the_store_when_the_response_exists() {
+        let path = temp_store("spill-before-answer.gbdstore");
+        let engine = Engine::with_workers(1).with_store(&path).unwrap();
+        let store = Arc::clone(engine.store_handle().unwrap());
+        let mut appended = 0;
+        for request in fig9a_grid() {
+            let response = engine.evaluate(&request);
+            // Each miss computed one entry and spilled one record, all of
+            // them written by the time the response came back.
+            appended += response.cache.misses;
+            assert_eq!(store.stats().appended_records, appended);
+        }
+        assert_eq!(engine.cache_stats().store_spills, appended);
+        drop(engine);
+        drop(store);
         std::fs::remove_file(&path).unwrap();
     }
 

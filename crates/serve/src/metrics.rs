@@ -54,23 +54,23 @@ pub struct ServerMetrics {
     /// Request lines rejected before admission (`bad_request`,
     /// `line_too_long`, `conn_limit`, `shutting_down`).
     pub rejected: Arc<Counter>,
-    /// Batches flushed to the engine.
+    /// Batches drained from the queue for the engine workers.
     pub batches_flushed: Arc<Counter>,
-    /// Full flushes: the flusher took `batch_max` requests at once.
+    /// Full flushes: a worker took `batch_max` requests at once.
     pub flushes_by_size: Arc<Counter>,
-    /// Partial-batch flushes: the flusher took fewer than `batch_max`
+    /// Partial-batch flushes: a worker took fewer than `batch_max`
     /// because that was all that was queued when it came free, or because
     /// the coalescer was draining. (The name predates the work-conserving
     /// coalescer and is kept for wire and Prometheus compatibility.)
     pub flushes_by_timer: Arc<Counter>,
     /// End-to-end latency (admission to response ready) of eval requests.
     pub latency: Arc<Histogram>,
-    /// Queue-wait component: admission to the batch flush that carried the
-    /// request. Near zero under light load (the flusher is free), and
-    /// dominated by the batch in flight and the backlog under heavy load.
+    /// Queue-wait component: admission to a worker claiming the request.
+    /// Near zero under light load (a worker is free), and dominated by
+    /// the requests ahead of it under heavy load.
     pub queue_wait: Arc<Histogram>,
-    /// Compute component: batch flush to that request's response being
-    /// ready. `latency ≈ queue_wait + compute` per request.
+    /// Compute component: claim to that request's evaluation being done.
+    /// `latency = queue_wait + compute` per request.
     pub compute: Arc<Histogram>,
     /// Response lines that failed to reach the client (write or flush I/O
     /// error in the per-connection writer). Before this counter existed a
@@ -377,8 +377,8 @@ pub struct MetricsSnapshot {
     pub batches_flushed: u64,
     /// Full flushes of `batch_max` requests.
     pub flushes_by_size: u64,
-    /// Partial-batch flushes (fewer than `batch_max`, taken as soon as the
-    /// flusher was free or while draining).
+    /// Partial-batch flushes (fewer than `batch_max`, taken as soon as a
+    /// worker was free or while draining).
     pub flushes_by_timer: u64,
     /// Mean requests per flushed batch.
     pub coalescing_factor: f64,

@@ -20,7 +20,11 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long the drain lets connection writers flush their queued
+/// responses before closing their sockets outright.
+const WRITE_TAIL_GRACE: Duration = Duration::from_secs(5);
 
 /// Everything configurable about a server instance.
 #[derive(Debug, Clone)]
@@ -426,8 +430,11 @@ impl Server {
     ///    endpoint closes, and every watch subscription is reaped — which
     ///    unblocks writers still streaming unbounded watches.
     /// 5. Sockets are then closed read-side, waking readers blocked in
-    ///    `read` with EOF.
-    /// 6. Connection threads join (their writers already ran dry).
+    ///    `read` with EOF; each connection's writer finishes writing its
+    ///    queued tail (every eval in it is already resolved) and exits.
+    /// 6. Connection threads join. A connection still writing after
+    ///    [`WRITE_TAIL_GRACE`] — a client that stopped reading — has its
+    ///    write side closed too, so it cannot stall the drain.
     fn drain(&self) {
         self.shared.coalescer.shutdown();
         // Non-fatal on failure: every spill already hit the append log, so
@@ -479,7 +486,16 @@ impl Server {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         for (stream, _) in conns.iter() {
-            let _ = stream.shutdown(Shutdown::Both);
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        let deadline = Instant::now() + WRITE_TAIL_GRACE;
+        while Instant::now() < deadline && conns.iter().any(|(_, h)| !h.is_finished()) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for (stream, handle) in conns.iter() {
+            if !handle.is_finished() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
         }
         for (_, handle) in conns.drain(..) {
             let _ = handle.join();

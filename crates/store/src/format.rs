@@ -31,10 +31,14 @@ pub const MAX_PAYLOAD_LEN: u32 = 256 << 20;
 /// Bytes of framing around each payload: length word plus CRC word.
 pub const FRAME_OVERHEAD: usize = 8;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+/// table, and `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k`
+/// zero bytes, so eight input bytes fold into the CRC with eight
+/// independent lookups instead of a chain of eight dependent ones.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -47,17 +51,45 @@ const fn crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) of `bytes`.
+///
+/// Every record is checksummed when it is written, when it is shipped to
+/// a standby, and when it is read back, so this runs over each stored
+/// byte several times; it takes eight bytes per step (slicing-by-8).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -122,18 +154,27 @@ pub fn parse_header(buf: &[u8]) -> Result<(Vec<u8>, usize), HeaderError> {
 
 /// Serializes one record frame (`len crc payload`) for `kind`/`key`/`value`.
 pub fn encode_frame(kind: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, kind, key, value);
+    frame
+}
+
+/// Appends one record frame to `out`: the same bytes as [`encode_frame`],
+/// so frames for a group of records can be written in one call.
+pub fn encode_frame_into(out: &mut Vec<u8>, kind: u8, key: &[u8], value: &[u8]) {
     let payload_len = 1 + 4 + key.len() + value.len();
     debug_assert!(payload_len <= MAX_PAYLOAD_LEN as usize, "record too large");
-    let mut payload = Vec::with_capacity(payload_len);
-    payload.push(kind);
-    payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    payload.extend_from_slice(key);
-    payload.extend_from_slice(value);
-    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    out.reserve(FRAME_OVERHEAD + payload_len);
+    let start = out.len();
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    // CRC placeholder, patched once the payload is in place.
+    out.extend_from_slice(&[0; 4]);
+    out.push(kind);
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
+    let crc = crc32(&out[start + FRAME_OVERHEAD..]);
+    out[start + 4..start + FRAME_OVERHEAD].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// One decoded record.
@@ -336,6 +377,26 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_definition_at_every_length_and_offset() {
+        fn bytewise(bytes: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+            }
+            !crc
+        }
+        let bytes: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..9 {
+            for end in start..bytes.len() {
+                let slice = &bytes[start..end];
+                assert_eq!(crc32(slice), bytewise(slice), "{start}..{end}");
+            }
+        }
     }
 
     #[test]

@@ -272,24 +272,44 @@ impl Store {
         })
     }
 
-    /// Appends one record and updates the live index. Durability is
-    /// whole-frame on a clean process; call [`Store::sync`] to force the
-    /// bytes to stable storage.
+    /// Appends one record and updates the live index: an
+    /// [`Store::append_many`] of one.
     pub fn append(&self, kind: u8, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        self.append_many(&[(kind, key, value)])
+    }
+
+    /// Appends `records` in order as one write: the frames are encoded
+    /// (and checksummed) before the lock is taken, then one `write_all`
+    /// of the concatenated frames, then the live-index updates and the
+    /// tee calls, record by record, still under the lock. The log bytes,
+    /// the index, and the tee sequence are exactly those of appending the
+    /// records one at a time. Durability is whole-frame on a clean
+    /// process; call [`Store::sync`] to force the bytes to stable storage.
+    ///
+    /// A failed write counts every record of the group in
+    /// [`StoreStats::append_errors`].
+    pub fn append_many(&self, records: &[(u8, &[u8], &[u8])]) -> Result<(), StoreError> {
+        let mut frames = Vec::new();
+        for &(kind, key, value) in records {
+            format::encode_frame_into(&mut frames, kind, key, value);
+        }
         let mut inner = self.lock();
-        match inner.writer.append(kind, key, value) {
+        match inner.writer.append_frames(&frames, records.len() as u64) {
             Ok(_) => {
-                inner.index.apply(kind, key.to_vec(), value.to_vec());
                 // Still under the inner lock: concurrent appends reach the
                 // tee in log order, so a follower can never apply a stale
                 // value after a fresh one.
-                if let Some(Tee(tee)) = &*lock_tee(&self.tee) {
-                    tee(kind, key, value);
+                let tee = lock_tee(&self.tee);
+                for &(kind, key, value) in records {
+                    inner.index.apply(kind, key.to_vec(), value.to_vec());
+                    if let Some(Tee(tee)) = &*tee {
+                        tee(kind, key, value);
+                    }
                 }
                 Ok(())
             }
             Err(e) => {
-                inner.append_errors += 1;
+                inner.append_errors += records.len() as u64;
                 Err(StoreError::Io(e))
             }
         }
@@ -601,6 +621,117 @@ mod tests {
         assert_eq!(store.get(1, b"dup"), Some(b"value".to_vec()));
         assert_eq!(store.get(3, b"late"), Some(b"y".to_vec()));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A mix of kinds, sizes and a repeated key (last wins), as one eval's
+    /// spills look.
+    const GROUP: [(u8, &[u8], &[u8]); 5] = [
+        (1, b"geometry", b"stage inputs"),
+        (2, b"stage-a", b"dist"),
+        (2, b"stage-b", b""),
+        (2, b"stage-a", b"dist again"),
+        (3, b"result", b"a longer output value than the rest"),
+    ];
+
+    #[test]
+    fn append_many_matches_appending_one_at_a_time() {
+        type Seen = Arc<Mutex<Vec<(u8, Vec<u8>, Vec<u8>)>>>;
+        let open_with_tee = |name: &str| -> (Store, Seen, PathBuf) {
+            let path = temp_path(name);
+            let _ = std::fs::remove_file(&path);
+            let store = Store::open(&path, b"t").unwrap();
+            let seen: Seen = Arc::default();
+            let sink = Arc::clone(&seen);
+            store.set_tee(move |kind, key, value| {
+                sink.lock()
+                    .unwrap()
+                    .push((kind, key.to_vec(), value.to_vec()));
+            });
+            (store, seen, path)
+        };
+        let (single, single_tee, single_path) = open_with_tee("single.gbdstore");
+        let (grouped, grouped_tee, grouped_path) = open_with_tee("grouped.gbdstore");
+        for &(kind, key, value) in &GROUP {
+            single.append(kind, key, value).unwrap();
+        }
+        grouped.append_many(&GROUP).unwrap();
+        // An empty group writes nothing and calls no tee.
+        grouped.append_many(&[]).unwrap();
+
+        assert_eq!(single.stats(), grouped.stats());
+        assert_eq!(grouped.stats().appended_records, GROUP.len() as u64);
+        assert_eq!(single.digest(), grouped.digest());
+        assert_eq!(*single_tee.lock().unwrap(), *grouped_tee.lock().unwrap());
+        assert_eq!(grouped_tee.lock().unwrap().len(), GROUP.len());
+        drop((single, grouped));
+        assert_eq!(
+            std::fs::read(&single_path).unwrap(),
+            std::fs::read(&grouped_path).unwrap()
+        );
+        let recovered = reader::recover(&grouped_path).unwrap();
+        assert_eq!(
+            recovered.records,
+            reader::recover(&single_path).unwrap().records
+        );
+        assert_eq!(recovered.records.len(), GROUP.len());
+        assert_eq!(recovered.torn_bytes, 0);
+        let reopened = Store::open(&grouped_path, b"t").unwrap();
+        assert_eq!(reopened.get(2, b"stage-a"), Some(b"dist again".to_vec()));
+        assert_eq!(reopened.stats().live_entries, 4);
+        std::fs::remove_file(&single_path).unwrap();
+        std::fs::remove_file(&grouped_path).unwrap();
+    }
+
+    /// With the crash hook armed at `N`, a child process appends one
+    /// record, then the rest of [`GROUP`] as one group, and aborts; the
+    /// log must hold exactly `N` whole frames and half of frame `N`, also
+    /// when `N` falls inside the group.
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn chaos_abort_inside_a_group_leaves_whole_frames_and_half_a_frame() {
+        const CHILD: &str = "GBD_STORE_TEST_CHAOS_CHILD";
+        if let Ok(path) = std::env::var(CHILD) {
+            let store = Store::open(&path, b"t").unwrap();
+            let (first, rest) = GROUP.split_first().unwrap();
+            store.append(first.0, first.1, first.2).unwrap();
+            store.append_many(rest).unwrap();
+            return;
+        }
+        let exe = std::env::current_exe().unwrap();
+        for n in [0, 1, 3] {
+            let path = temp_path(&format!("chaos-{n}.gbdstore"));
+            let _ = std::fs::remove_file(&path);
+            let status = std::process::Command::new(&exe)
+                .args([
+                    "--exact",
+                    "tests::chaos_abort_inside_a_group_leaves_whole_frames_and_half_a_frame",
+                    "--test-threads=1",
+                ])
+                .env(CHILD, &path)
+                .env("GBD_STORE_CHAOS_ABORT_AFTER", n.to_string())
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::null())
+                .status()
+                .unwrap();
+            assert!(!status.success(), "N={n}: the armed child survived");
+            let recovered = reader::recover(&path).unwrap();
+            let whole: Vec<_> = GROUP[..n]
+                .iter()
+                .map(|&(kind, key, value)| format::Record {
+                    kind,
+                    key: key.to_vec(),
+                    value: value.to_vec(),
+                })
+                .collect();
+            assert_eq!(recovered.records, whole, "N={n}");
+            let (kind, key, value) = GROUP[n];
+            assert_eq!(
+                recovered.torn_bytes,
+                (format::encode_frame(kind, key, value).len() / 2) as u64,
+                "N={n}"
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

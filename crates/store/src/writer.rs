@@ -9,9 +9,10 @@ use std::path::Path;
 
 /// Appends framed records to an open log file.
 ///
-/// Each append is a single `write_all` of the full frame, so on a clean
+/// Each append is a single `write_all` of its whole frames, so on a clean
 /// process the log only ever grows by whole frames; a crash mid-write
-/// leaves at most one torn frame at the tail, which recovery truncates.
+/// leaves a prefix of the group's frames and at most one torn frame at
+/// the tail, which recovery truncates.
 #[derive(Debug)]
 pub struct LogWriter {
     file: File,
@@ -57,14 +58,15 @@ impl LogWriter {
         })
     }
 
-    /// Appends one record frame. Returns the new file length.
-    pub fn append(&mut self, kind: u8, key: &[u8], value: &[u8]) -> io::Result<u64> {
-        let frame = format::encode_frame(kind, key, value);
+    /// Appends `count` already-encoded record frames (see
+    /// [`format::encode_frame_into`]) with one `write_all`. Returns the
+    /// new file length.
+    pub fn append_frames(&mut self, frames: &[u8], count: u64) -> io::Result<u64> {
         #[cfg(feature = "chaos")]
-        self.maybe_chaos_abort(&frame);
-        self.file.write_all(&frame)?;
-        self.len += frame.len() as u64;
-        self.appends += 1;
+        self.maybe_chaos_abort(frames, count);
+        self.file.write_all(frames)?;
+        self.len += frames.len() as u64;
+        self.appends += count;
         Ok(self.len)
     }
 
@@ -83,25 +85,33 @@ impl LogWriter {
         self.appends
     }
 
-    /// Crash injection: once `GBD_STORE_CHAOS_ABORT_AFTER=N` appends have
-    /// completed, the next append writes only half its frame, syncs it to
-    /// disk so the torn bytes are really there, and aborts the process —
-    /// the closest deterministic stand-in for `kill -9` mid-write.
+    /// Crash injection: once `GBD_STORE_CHAOS_ABORT_AFTER=N` records have
+    /// been appended, the append that would carry the log past `N` writes
+    /// the whole frames up to record `N` and half of the next one, syncs
+    /// them so the torn bytes are really on disk, and aborts the process —
+    /// the closest deterministic stand-in for `kill -9` mid-write. The log
+    /// then holds exactly `N` whole frames plus half a frame, whether or
+    /// not `N` falls inside a group of `count` frames.
     #[cfg(feature = "chaos")]
-    fn maybe_chaos_abort(&mut self, frame: &[u8]) {
+    fn maybe_chaos_abort(&mut self, frames: &[u8], count: u64) {
         let Some(limit) = self.chaos_abort_after else {
             return;
         };
-        if self.appends < limit {
+        if self.appends + count <= limit {
             return;
         }
-        let torn = &frame[..frame.len() / 2];
-        let _ = self.file.write_all(torn);
+        let frame_end =
+            |at: usize| format::decode_frame(frames, at).map_or(frames.len(), |f| f.1);
+        let mut whole = 0;
+        for _ in self.appends..limit {
+            whole = frame_end(whole);
+        }
+        let torn = (frame_end(whole) - whole) / 2;
+        let _ = self.file.write_all(&frames[..whole + torn]);
         let _ = self.file.sync_data();
         eprintln!(
-            "gbd-store chaos: aborting after {} appends with a {}-byte torn frame",
-            self.appends,
-            torn.len()
+            "gbd-store chaos: aborting after {} appends with a {torn}-byte torn frame",
+            self.appends.max(limit)
         );
         std::process::abort();
     }
@@ -118,7 +128,7 @@ fn chaos_abort_after() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{decode_frame, parse_header};
+    use crate::format::{decode_frame, encode_frame, parse_header};
     use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -131,14 +141,14 @@ mod tests {
     fn create_append_reopen_appends_at_end() {
         let path = temp_path("reopen.log");
         let mut w = LogWriter::create(&path, b"tag").unwrap();
-        w.append(1, b"a", b"1").unwrap();
-        let len = w.append(2, b"b", b"2").unwrap();
+        w.append_frames(&encode_frame(1, b"a", b"1"), 1).unwrap();
+        let len = w.append_frames(&encode_frame(2, b"b", b"2"), 1).unwrap();
         w.sync().unwrap();
         assert_eq!(w.appends(), 2);
         drop(w);
 
         let mut w = LogWriter::open_append(&path, len).unwrap();
-        w.append(3, b"c", b"3").unwrap();
+        w.append_frames(&encode_frame(3, b"c", b"3"), 1).unwrap();
         w.sync().unwrap();
         assert_eq!(w.len(), std::fs::metadata(&path).unwrap().len());
 
@@ -159,7 +169,7 @@ mod tests {
     fn open_append_truncates_torn_tail() {
         let path = temp_path("truncate.log");
         let mut w = LogWriter::create(&path, b"tag").unwrap();
-        let valid = w.append(1, b"a", b"1").unwrap();
+        let valid = w.append_frames(&encode_frame(1, b"a", b"1"), 1).unwrap();
         drop(w);
         // Simulate a torn write past the valid prefix.
         let mut bytes = std::fs::read(&path).unwrap();

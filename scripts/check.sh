@@ -2,7 +2,8 @@
 # Full local gate: formatting, lints as errors, and the complete test
 # suite. Run before every push; CI mirrors these steps.
 #
-#   scripts/check.sh                the standard gate
+#   scripts/check.sh                the standard gate, including the
+#                                   store crash smoke below
 #   scripts/check.sh --chaos        additionally run the fault-injection
 #                                   suite under three seeds (deterministic
 #                                   per seed)
@@ -19,11 +20,15 @@
 #                                   a >50% regression of the N=10^5
 #                                   per-trial speedup against the
 #                                   committed results/BENCH_pr9.json
-#   scripts/check.sh --store-smoke  additionally crash (SIGABRT mid-append,
-#                                   via the gbd-store `chaos` feature) a
+#   scripts/check.sh --store-smoke  crash (SIGABRT mid-append, via the
+#                                   gbd-store `chaos` feature) a
 #                                   store-backed warm run, then prove the
 #                                   reopened store recovers its valid
-#                                   prefix and serves bit-identical rows
+#                                   prefix and serves bit-identical rows.
+#                                   Part of the standard gate, since it
+#                                   guards the append path every eval
+#                                   writes through; the flag is kept for
+#                                   existing callers
 #   scripts/check.sh --obs-smoke    additionally drive mixed load against a
 #                                   store-backed server with the Prometheus
 #                                   endpoint bound, assert coalescing, the
@@ -53,7 +58,7 @@ cd "$(dirname "$0")/.."
 chaos=0
 bench_smoke=0
 sim_bench_smoke=0
-store_smoke=0
+store_smoke=1
 obs_smoke=0
 cluster_smoke=0
 stream_smoke=0
@@ -319,6 +324,9 @@ if not rows_a or rows_a != rows_b:
 print(f"store smoke: ok ({store['loaded_records']} records recovered, "
       f"{store['torn_bytes_discarded']} torn bytes discarded, rows bit-identical)")
 PY
+  # Put the plain binary back, so later smokes and callers never run the
+  # chaos build.
+  cargo build --release -q -p gbd-cli --bin groupdet
 fi
 
 if [ "$obs_smoke" -eq 1 ]; then

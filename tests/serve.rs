@@ -96,10 +96,13 @@ fn error_code(response: &Json) -> Option<&str> {
     response.get("error")?.get("code")?.as_str()
 }
 
-/// An eval line for a simulation campaign that keeps the server's flusher
-/// busy for far longer than a test takes to send a few more lines.
+/// An eval line for a simulation campaign that keeps one server worker
+/// busy for far longer than a test takes to send a few more lines. The
+/// seed is the id, so two campaigns never share a result-cache entry.
 fn slow_eval(id: u64) -> String {
-    format!(r#"{{"id":{id},"verb":"eval","backend":{{"kind":"sim","trials":20000}}}}"#)
+    format!(
+        r#"{{"id":{id},"verb":"eval","backend":{{"kind":"sim","trials":20000,"seed":{id}}}}}"#
+    )
 }
 
 /// The `metrics` verb's server section, read over `client`.
@@ -256,25 +259,31 @@ fn eight_clients_match_direct_evaluate_batch_bit_for_bit() {
 
 #[test]
 fn queue_overflow_sheds_with_structured_errors_and_keeps_serving() {
-    // Tiny queue and no size trigger; a slow simulation request keeps the
-    // flusher busy, so nothing drains while we overfill.
+    // Tiny queue and no size trigger. The engine's worker count is pinned,
+    // and each worker is held by its own slow simulation request, so
+    // nothing drains while we overfill.
+    const WORKERS: u64 = 2;
     let server = start(
         ServeConfig {
             batch_max: 1000,
             queue_depth: 2,
             ..ServeConfig::default()
         },
-        Engine::new(),
+        Engine::with_workers(WORKERS as usize),
     );
 
     let mut client = Client::connect(server.addr);
     let mut probe = Client::connect(server.addr);
-    client.send(&slow_eval(0));
-    // Wait until the flusher has taken the slow request off the queue.
-    poll_server_metrics(&mut probe, |m| {
-        counter(m, "admitted") == Some(1) && counter(m, "queue_depth") == Some(0)
-    });
-    for id in 1..=20 {
+    for id in 0..WORKERS {
+        client.send(&slow_eval(id));
+        // Wait until a worker has taken this slow request off the queue,
+        // so the next one goes to the other worker.
+        poll_server_metrics(&mut probe, |m| {
+            counter(m, "admitted") == Some(id + 1) && counter(m, "queue_depth") == Some(0)
+        });
+    }
+    let last = WORKERS + 19;
+    for id in WORKERS..=last {
         client.send(&format!(
             r#"{{"id":{id},"verb":"eval","params":{{"n":60}}}}"#
         ));
@@ -287,16 +296,17 @@ fn queue_overflow_sheds_with_structured_errors_and_keeps_serving() {
     // The 20 pipelined sends race the server's reader thread, so poll until
     // the shed count converges rather than asserting on the first scrape.
     let converged = poll_server_metrics(&mut probe, |m| counter(m, "shed") == Some(18));
-    // Still held: the two admitted requests have not been flushed yet.
+    // Still held: the two admitted requests have not been evaluated yet.
     assert_eq!(counter(&converged, "queue_depth"), Some(2));
+    assert_eq!(counter(&converged, "evaluated"), Some(WORKERS));
 
-    // Drain: the slow request and the two admitted ones must still
+    // Drain: the slow requests and the two admitted ones must still
     // complete.
     server.handle.shutdown();
-    for id in 0..=20u64 {
+    for id in 0..=last {
         let response = client.recv();
         assert_eq!(response.get("id").and_then(Json::as_u64), Some(id));
-        if id <= 2 {
+        if id < WORKERS + 2 {
             assert_eq!(
                 response.get("ok").and_then(Json::as_bool),
                 Some(true),
@@ -308,6 +318,36 @@ fn queue_overflow_sheds_with_structured_errors_and_keeps_serving() {
         }
     }
     server.thread.join().expect("join").expect("run");
+}
+
+#[test]
+fn a_slow_simulation_does_not_block_a_fast_eval_on_another_connection() {
+    // Two workers: one runs the campaign, the other answers the fast eval
+    // submitted after it, while the campaign is still running.
+    let server = start(ServeConfig::default(), Engine::with_workers(2));
+    let mut slow = Client::connect(server.addr);
+    let mut fast = Client::connect(server.addr);
+    let mut probe = Client::connect(server.addr);
+    slow.send(&slow_eval(1));
+    poll_server_metrics(&mut probe, |m| {
+        counter(m, "admitted") == Some(1) && counter(m, "queue_depth") == Some(0)
+    });
+    fast.send(r#"{"id":2,"verb":"eval","params":{"n":60}}"#);
+    let answer = fast.recv();
+    assert_eq!(answer.get("id").and_then(Json::as_u64), Some(2));
+    assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(true));
+    // The campaign has not been answered yet: one evaluation finished.
+    probe.send(r#"{"id":0,"verb":"metrics","sections":["histograms"]}"#);
+    let finished = probe
+        .recv()
+        .get("metrics")
+        .and_then(|m| m.get("histograms"))
+        .and_then(|h| h.get("latency_us"))
+        .and_then(|h| h.get("count"))
+        .and_then(Json::as_u64);
+    assert_eq!(finished, Some(1));
+    assert_eq!(slow.recv().get("ok").and_then(Json::as_bool), Some(true));
+    server.stop();
 }
 
 // ---------------------------------------------------------------------------
