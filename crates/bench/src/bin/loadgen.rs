@@ -11,9 +11,9 @@
 //!     --addr 127.0.0.1:<port> --clients 8 --requests 100 --sim-every 10
 //! ```
 //!
-//! `--assert-coalescing` queries the server's `stats` verb afterwards and
-//! fails (exit 1) unless the mean coalesced batch size exceeds 1;
-//! `--assert-split` queries the versioned `metrics` verb and fails unless
+//! `--assert-coalescing` queries the server's `metrics` verb afterwards
+//! and fails (exit 1) unless the mean coalesced batch size exceeds 1;
+//! `--assert-split` queries the same verb and fails unless
 //! the queue-wait and compute histograms sum (within 25%) to the latency
 //! histogram; `--watch-windows n` attaches a streaming `watch` client with
 //! replay that reads windows (up to `n` past the ring backlog) until the
@@ -1306,11 +1306,12 @@ fn warm_pass(opts: &Options, path: &std::path::Path) -> Result<WarmPass, String>
     let driven = drive();
     let elapsed_s = t.elapsed().as_secs_f64();
 
-    let store = control_round_trip(&addr, "store");
+    let store = control_round_trip(&addr, "metrics");
     let store_field = |key: &str| {
         store
             .as_ref()
-            .and_then(|s| s.get("store"))
+            .and_then(|m| m.get("metrics"))
+            .and_then(|m| m.get("store"))
             .and_then(|s| s.get(key))
             .and_then(Json::as_u64)
     };
@@ -1467,25 +1468,25 @@ fn main() -> ExitCode {
         percentile(&latencies, 0.99),
     );
 
-    // Server-side view: coalescing factor and shed count via `stats`.
-    let stats = control_round_trip(&opts.addr, "stats");
-    let coalescing = stats
-        .as_ref()
-        .and_then(|s| s.get("stats"))
+    // Server-side view: coalescing factor and shed count via `metrics`.
+    let metrics = control_round_trip(&opts.addr, "metrics");
+    let section = |name: &str| {
+        metrics
+            .as_ref()
+            .and_then(|m| m.get("metrics"))
+            .and_then(|m| m.get(name))
+    };
+    let coalescing = section("server")
         .and_then(|s| s.get("coalescing_factor"))
         .and_then(Json::as_f64);
-    let shed = stats
-        .as_ref()
-        .and_then(|s| s.get("stats"))
+    let shed = section("server")
         .and_then(|s| s.get("shed"))
         .and_then(Json::as_u64);
     // Server-side latency decomposition: time spent waiting in the
     // coalescer queue vs engine compute, both at p50.
     let split_p50 = |key: &str| {
-        stats
-            .as_ref()
-            .and_then(|s| s.get("stats"))
-            .and_then(|s| s.get(key))
+        section("histograms")
+            .and_then(|h| h.get(key))
             .and_then(|h| h.get("p50"))
             .and_then(Json::as_u64)
     };

@@ -17,7 +17,6 @@
 //! machine-readable output.
 
 mod args;
-mod json;
 
 use args::{render_flags, unknown_command, unknown_flag, Cursor, Flag};
 use gbd_core::accuracy::required_caps;
@@ -29,9 +28,8 @@ use gbd_engine::{
     BackendChain, BackendSpec, Engine, EvalRequest, EvalResponse, RetryPolicy, SimulationSpec,
 };
 use gbd_router::{Router, RouterConfig};
-use gbd_serve::{ServeConfig, Server};
+use gbd_serve::{Json, ServeConfig, Server};
 use gbd_sim::config::MotionSpec;
-use json::Json;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;

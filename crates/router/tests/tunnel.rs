@@ -1,5 +1,7 @@
 //! Streaming sessions through the router: a `stream_open` pins its slot
 //! and the connection tunnels to the shard for the session's lifetime.
+//! Along the way, the retired `stats`/`store` verbs are checked to be
+//! unknown on both legs.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -42,6 +44,25 @@ impl Conn {
     }
 }
 
+fn error_code(response: &Json) -> Option<&str> {
+    response.get("error")?.get("code")?.as_str()
+}
+
+/// Sends the retired `stats` and `store` verbs and checks that each gets
+/// the unknown-verb `bad_request` answer.
+fn assert_retired_verbs_unknown(conn: &mut Conn) {
+    for verb in ["stats", "store"] {
+        let reply = conn.round_trip(&format!(r#"{{"id":5,"verb":"{verb}"}}"#));
+        assert_eq!(error_code(&reply), Some("bad_request"), "{verb}");
+        let message = reply
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .expect("error message");
+        assert!(message.starts_with("unknown verb"), "{message}");
+    }
+}
+
 #[test]
 fn stream_session_tunnels_through_the_router() {
     let shard = Server::bind(ServeConfig::default(), Arc::new(gbd_engine::Engine::new()))
@@ -63,18 +84,17 @@ fn stream_session_tunnels_through_the_router() {
 
     // report/stream_close with no session are answered by the router.
     let err = conn.round_trip(r#"{"id":1,"verb":"stream_close"}"#);
-    assert_eq!(
-        err.get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str),
-        Some("bad_request")
-    );
+    assert_eq!(error_code(&err), Some("bad_request"));
+    // So are the retired verbs, and the connection keeps serving.
+    assert_retired_verbs_unknown(&mut conn);
 
     // Open a session: everything after this tunnels to the shard.
     let ack = conn.round_trip(
         r#"{"id":2,"verb":"stream_open","params":{"k":3,"m":10},"boundary":"torus"}"#,
     );
     assert_eq!(ack.get("streaming").and_then(Json::as_bool), Some(true));
+    // Inside the tunnel the shard answers them, and the session goes on.
+    assert_retired_verbs_unknown(&mut conn);
 
     // A stationary intruder sighted by the same sensor for k = 3
     // consecutive periods is one velocity-feasible chain: the third

@@ -8,14 +8,15 @@
 //! pipelined clients in-order responses without reordering buffers. The
 //! queue bound doubles as the per-connection in-flight limit: a reader
 //! that gets too far ahead blocks pushing the next item, which in turn
-//! stops reading from the socket — natural TCP backpressure.
+//! stops reading from the socket — natural TCP backpressure. It is the
+//! connection's only write path: stream-session lines go through it too.
 
 use crate::coalescer::SubmitError;
 use crate::json::Json;
 use crate::metrics::render_window;
 use crate::protocol::{self, ErrorCode, Verb};
 use crate::server::ServerShared;
-use crate::stream_session::{self, SessionFlow, StreamSession};
+use crate::stream_session::StreamSession;
 use gbd_obs::{CancelToken, Counter, WatchMsg};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::TcpStream;
@@ -40,14 +41,6 @@ pub(crate) enum WriteItem {
         /// paths (`unwatch`, connection close) can tell live watches from
         /// finished ones.
         token: CancelToken,
-    },
-    /// A detection session: one `stream_open` ack, then every line the
-    /// reader pushes (report acks, detection events, control replies)
-    /// until the reader drops the channel on `stream_close` or teardown.
-    Session {
-        /// The rendered `stream_open` acknowledgement.
-        ack: Json,
-        rx: Receiver<Json>,
     },
 }
 
@@ -111,20 +104,6 @@ fn writer_loop(stream: TcpStream, rx: &Receiver<WriteItem>, write_errors: &Count
                 // The subscription is over either way; mark it so that
                 // `unwatch` and connection teardown skip it.
                 token.cancel();
-                delivered
-            }
-            WriteItem::Session { ack, rx } => {
-                // Relay the session: the reader ends it by dropping its
-                // sender (after queueing the final `stream_close` ack). A
-                // write failure drops `rx`, which the reader observes as a
-                // failed send and treats as a dead connection.
-                let mut delivered = write_line(&mut out, &ack, write_errors);
-                while delivered {
-                    let Ok(line) = rx.recv() else {
-                        break;
-                    };
-                    delivered = write_line(&mut out, &line, write_errors);
-                }
                 delivered
             }
         };
@@ -201,8 +180,8 @@ fn reader_loop(
     let limit = shared.config.max_line_bytes.max(1);
     let mut evals_served: u64 = 0;
     // At most one streaming detection session per connection, owned here
-    // by the reader; while it is open, responses flow through its channel
-    // (see `stream_session` for the ordering invariant).
+    // by the reader. Only `report`, `stream_close` and `stream_open` look
+    // at it; every other verb goes through `dispatch`.
     let mut session: Option<StreamSession> = None;
     // Reads until EOF or a dead socket (incl. the shutdown path closing it).
     while let Ok(Some(line)) = read_line_bounded(&mut reader, limit) {
@@ -213,7 +192,7 @@ fn reader_loop(
                 ErrorCode::LineTooLong,
                 &format!("request line exceeds {limit} bytes"),
             );
-            if send_flat(&err, &session, tx).is_err() {
+            if tx.send(WriteItem::Ready(err)).is_err() {
                 break;
             }
             continue;
@@ -222,7 +201,7 @@ fn reader_loop(
             shared.metrics.rejected.inc();
             let err =
                 protocol::error_response(None, ErrorCode::BadRequest, "request is not UTF-8");
-            if send_flat(&err, &session, tx).is_err() {
+            if tx.send(WriteItem::Ready(err)).is_err() {
                 break;
             }
             continue;
@@ -239,36 +218,41 @@ fn reader_loop(
                     wire_error.code,
                     &wire_error.message,
                 );
-                if send_flat(&err, &session, tx).is_err() {
+                if tx.send(WriteItem::Ready(err)).is_err() {
                     break;
                 }
                 continue;
             }
         };
-        if session.is_some() {
-            match stream_session::handle_in_session(
-                envelope.id,
-                envelope.verb,
-                &mut session,
-                shared,
-                watch_tokens,
-            ) {
-                SessionFlow::Continue => continue,
-                SessionFlow::Dead => break,
+        let id = envelope.id;
+        shared.metrics.record_verb(envelope.verb.name());
+        let delivered = match (envelope.verb, session.as_mut()) {
+            (Verb::Report { reports }, Some(open)) => {
+                open.ingest(id, &reports, &shared.metrics, tx)
             }
-        }
-        let item = match envelope.verb {
-            Verb::StreamOpen(spec) => {
-                shared.metrics.record_verb("stream_open");
-                let inflight = shared.config.max_inflight_per_conn.max(1);
-                let (opened, item) =
-                    StreamSession::open(envelope.id, &spec, inflight, &shared.metrics);
+            (Verb::StreamClose, Some(open)) => {
+                let ack = open.close(id, &shared.metrics);
+                session = None;
+                tx.send(WriteItem::Ready(ack)).is_ok()
+            }
+            (Verb::StreamOpen(spec), None) => {
+                let (opened, ack) = StreamSession::open(id, &spec, &shared.metrics);
                 session = Some(opened);
-                item
+                tx.send(WriteItem::Ready(ack)).is_ok()
             }
-            verb => dispatch(envelope.id, verb, shared, &mut evals_served, watch_tokens),
+            (verb, open) => {
+                let item = dispatch(
+                    id,
+                    verb,
+                    open.is_some(),
+                    shared,
+                    &mut evals_served,
+                    watch_tokens,
+                );
+                tx.send(item).is_ok()
+            }
         };
-        if tx.send(item).is_err() {
+        if !delivered {
             break;
         }
     }
@@ -280,49 +264,36 @@ fn reader_loop(
     }
 }
 
-/// Routes a response line generated outside `dispatch` (transport-level
-/// errors) to wherever this connection currently writes: the session
-/// channel while a session is open, the writer queue otherwise. `Err`
-/// means the writer is gone and the reader should stop.
-fn send_flat(
-    response: &Json,
-    session: &Option<StreamSession>,
-    tx: &SyncSender<WriteItem>,
-) -> Result<(), ()> {
-    match session {
-        Some(open) => open.push(response.clone()),
-        None => tx.send(WriteItem::Ready(response.clone())).map_err(|_| ()),
-    }
-}
-
+/// Answers every verb the reader does not handle itself. `in_session`
+/// is whether a stream session is open on the connection.
 fn dispatch(
     id: u64,
     verb: Verb,
+    in_session: bool,
     shared: &Arc<ServerShared>,
     evals_served: &mut u64,
     watch_tokens: &mut Vec<CancelToken>,
 ) -> WriteItem {
     match verb {
-        Verb::Ping => {
-            shared.metrics.record_verb("ping");
-            WriteItem::Ready(protocol::pong(id))
-        }
+        Verb::Ping => WriteItem::Ready(protocol::pong(id)),
         Verb::Metrics { sections } => {
-            shared.metrics.record_verb("metrics");
             WriteItem::Ready(shared.metrics_snapshot().render_metrics(id, &sections))
         }
-        Verb::Stats => {
-            shared.metrics.record_verb("stats");
-            shared.metrics.deprecated_verb_calls.inc();
-            WriteItem::Ready(shared.metrics_snapshot().render_stats(id))
-        }
-        Verb::Store => {
-            shared.metrics.record_verb("store");
-            shared.metrics.deprecated_verb_calls.inc();
-            WriteItem::Ready(shared.metrics_snapshot().render_store(id))
+        // A router pins a tunnelled session to one shard, and a watch
+        // would hold back every session line queued behind it.
+        Verb::Eval(_) | Verb::Watch { .. } if in_session => {
+            shared.metrics.rejected.inc();
+            WriteItem::Ready(protocol::error_response(
+                Some(id),
+                ErrorCode::BadRequest,
+                &format!(
+                    "{} is not available while a stream session is open; \
+                     send stream_close first",
+                    verb.name()
+                ),
+            ))
         }
         Verb::Watch { windows, replay } => {
-            shared.metrics.record_verb("watch");
             let sub = shared.metrics.registry().subscribe(replay);
             watch_tokens.push(sub.token.clone());
             WriteItem::Stream {
@@ -333,7 +304,6 @@ fn dispatch(
             }
         }
         Verb::Unwatch => {
-            shared.metrics.record_verb("unwatch");
             // Finished streams cancelled their own tokens; only watches
             // still live count toward the ack.
             let cancelled = watch_tokens.iter().filter(|t| !t.is_cancelled()).count();
@@ -351,7 +321,6 @@ fn dispatch(
             ]))
         }
         Verb::Shutdown => {
-            shared.metrics.record_verb("shutdown");
             let ack = Json::obj(vec![
                 ("id".to_string(), Json::Int(id as i64)),
                 ("ok".to_string(), Json::Bool(true)),
@@ -361,7 +330,6 @@ fn dispatch(
             WriteItem::Ready(ack)
         }
         Verb::Eval(request) => {
-            shared.metrics.record_verb("eval");
             let limit = shared.config.max_requests_per_conn;
             if limit > 0 && *evals_served >= limit {
                 shared.metrics.rejected.inc();
@@ -386,8 +354,8 @@ fn dispatch(
                 )),
             }
         }
-        Verb::Report { .. } => {
-            shared.metrics.record_verb("report");
+        // The reader answers these itself when a session is open.
+        Verb::Report { .. } | Verb::StreamClose => {
             shared.metrics.rejected.inc();
             WriteItem::Ready(protocol::error_response(
                 Some(id),
@@ -395,23 +363,13 @@ fn dispatch(
                 "no stream session is open on this connection; send stream_open first",
             ))
         }
-        Verb::StreamClose => {
-            shared.metrics.record_verb("stream_close");
-            shared.metrics.rejected.inc();
-            WriteItem::Ready(protocol::error_response(
-                Some(id),
-                ErrorCode::BadRequest,
-                "no stream session is open on this connection; send stream_open first",
-            ))
-        }
+        // The reader opens a session itself when none is open.
         Verb::StreamOpen(_) => {
-            // The reader loop intercepts stream_open before dispatch (it
-            // owns the session slot); this arm only keeps the match total.
             shared.metrics.rejected.inc();
             WriteItem::Ready(protocol::error_response(
                 Some(id),
                 ErrorCode::BadRequest,
-                "stream_open is handled by the connection reader",
+                "a stream session is already open on this connection",
             ))
         }
     }

@@ -69,9 +69,10 @@ impl Json {
         Ok(value)
     }
 
-    /// Convenience constructor for an object.
-    pub fn obj(fields: Vec<(String, Json)>) -> Json {
-        Json::Obj(fields)
+    /// Convenience constructor for an object; keys may be `&str` or
+    /// `String`.
+    pub fn obj<K: Into<String>>(fields: Vec<(K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// The value of `key` if this is an object containing it.
@@ -597,11 +598,20 @@ mod tests {
     #[test]
     fn renders_deterministically() {
         let v = Json::obj(vec![
-            ("ok".into(), true.into()),
-            ("p".into(), 0.5.into()),
-            ("tags".into(), Json::Arr(vec![Json::Null, 3i64.into()])),
+            ("ok", true.into()),
+            ("p", 0.5.into()),
+            ("tags", Json::Arr(vec![Json::Null, 3i64.into()])),
         ]);
         assert_eq!(v.render(), r#"{"ok":true,"p":0.5,"tags":[null,3]}"#);
+        // Escapes, non-finite floats (JSON has no NaN/Infinity) and whole
+        // floats render to fixed bytes.
+        let v = Json::Arr(vec![
+            Json::Str("a\"b\\c\n".to_string()),
+            Json::Num(f64::NAN),
+            Json::Num(f64::INFINITY),
+            Json::Num(1.0),
+        ]);
+        assert_eq!(v.render(), "[\"a\\\"b\\\\c\\n\",null,null,1]");
     }
 
     #[test]

@@ -141,10 +141,6 @@ pub enum Verb {
     },
     /// Cancel every `watch` stream on this connection.
     Unwatch,
-    /// Deprecated alias: the pre-redesign server counters payload.
-    Stats,
-    /// Deprecated alias: the pre-redesign persistent-store payload.
-    Store,
     /// Liveness probe; answers immediately, bypassing the coalescer.
     Ping,
     /// Begin graceful shutdown (drain in-flight batches, then exit).
@@ -160,6 +156,23 @@ pub enum Verb {
     },
     /// Close this connection's open streaming session.
     StreamClose,
+}
+
+impl Verb {
+    /// The wire name of the verb (a [`crate::VERBS`] entry).
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Verb::Eval(_) => "eval",
+            Verb::Metrics { .. } => "metrics",
+            Verb::Watch { .. } => "watch",
+            Verb::Unwatch => "unwatch",
+            Verb::Ping => "ping",
+            Verb::Shutdown => "shutdown",
+            Verb::StreamOpen(_) => "stream_open",
+            Verb::Report { .. } => "report",
+            Verb::StreamClose => "stream_close",
+        }
+    }
 }
 
 /// Parameters of a `stream_open` request: the system parameters define the
@@ -308,11 +321,9 @@ pub fn parse_line(line: &str) -> Result<Envelope, WireError> {
                 .map_err(&fail)?;
             Verb::Report { reports }
         }
-        "stats" | "store" | "ping" | "shutdown" | "unwatch" | "stream_close" => {
+        "ping" | "shutdown" | "unwatch" | "stream_close" => {
             check_fields(&root, &["id", "verb"]).map_err(&fail)?;
             match verb_name {
-                "stats" => Verb::Stats,
-                "store" => Verb::Store,
                 "ping" => Verb::Ping,
                 "unwatch" => Verb::Unwatch,
                 "stream_close" => Verb::StreamClose,
@@ -321,8 +332,8 @@ pub fn parse_line(line: &str) -> Result<Envelope, WireError> {
         }
         other => {
             return Err(fail(format!(
-                "unknown verb `{other}` (expected eval, metrics, watch, unwatch, stats, \
-                 store, ping, shutdown, stream_open, report, or stream_close)"
+                "unknown verb `{other}` (expected eval, metrics, watch, unwatch, ping, \
+                 shutdown, stream_open, report, or stream_close)"
             )))
         }
     };
@@ -823,16 +834,8 @@ mod tests {
     #[test]
     fn parses_control_verbs() {
         assert_eq!(
-            parse_line(r#"{"id":2,"verb":"stats"}"#).unwrap().verb,
-            Verb::Stats
-        );
-        assert_eq!(
             parse_line(r#"{"id":3,"verb":"ping"}"#).unwrap().verb,
             Verb::Ping
-        );
-        assert_eq!(
-            parse_line(r#"{"id":6,"verb":"store"}"#).unwrap().verb,
-            Verb::Store
         );
         assert_eq!(
             parse_line(r#"{"id":4,"verb":"shutdown"}"#).unwrap().verb,

@@ -1,53 +1,28 @@
 //! Stateful streaming detection sessions over the JSON-lines transport.
 //!
 //! A `stream_open` turns the connection into a detection session: the
-//! reader thread owns a [`StreamDetector`] and a bounded channel into the
-//! writer, which queues a [`WriteItem::Session`] and then relays every
-//! line the reader pushes — report acks, detection events, and control
-//! replies — until the reader drops the channel (on `stream_close` or
-//! connection teardown).
-//!
-//! **Ordering invariant:** while a session is open, *every* response on
-//! the connection flows through the session channel. The writer is
-//! parked on the session item, so a [`WriteItem::Ready`] queued behind it
-//! would never be written — and the reader, blocked pushing it, would
-//! deadlock the connection. Control verbs (`ping`, `metrics`, `unwatch`,
-//! `shutdown`, …) are answered through the session; verbs that would
-//! enqueue their own writer items (`eval`, `watch`, a second
-//! `stream_open`) are rejected until the session closes.
-//!
-//! Backpressure works the same way it does for eval traffic: the session
-//! channel is bounded, so a client that stops draining events blocks the
-//! reader, which stops reading reports off the socket.
+//! reader thread owns a [`StreamDetector`] and answers `report` and
+//! `stream_close` from it. Every session line (the open ack, report acks,
+//! detection events, the close ack) goes into the connection's writer
+//! queue as a [`WriteItem::Ready`], in the order it is produced, so
+//! session lines and control replies share one FIFO and keep submission
+//! order. A client that stops draining events fills that bounded queue,
+//! which blocks the reader and stops it reading reports off the socket.
 
 use crate::conn::WriteItem;
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
-use crate::protocol::{self, ErrorCode, StreamOpenSpec, Verb};
-use crate::server::ServerShared;
-use gbd_obs::CancelToken;
+use crate::protocol::StreamOpenSpec;
 use gbd_sim::group_filter::TrackRule;
 use gbd_sim::reports::DetectionReport;
 use gbd_stream::{DetectionEvent, StreamConfig, StreamDetector, DEFAULT_MAX_TRACKS};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, SyncSender};
-use std::sync::Arc;
+use std::sync::mpsc::SyncSender;
 use std::time::Instant;
-
-/// What the reader loop should do after a verb was handled in-session.
-pub(crate) enum SessionFlow {
-    /// Handled (response lines pushed through the session channel); keep
-    /// reading.
-    Continue,
-    /// The session channel's consumer is gone (writer exited on a dead
-    /// socket): drop the connection.
-    Dead,
-}
 
 /// One open streaming session, owned by the connection's reader thread.
 pub(crate) struct StreamSession {
     detector: StreamDetector,
-    tx: SyncSender<Json>,
     /// The `stream_open` id — detection events are tagged with it so a
     /// pipelining client can tell pushed events from report acks.
     open_id: u64,
@@ -59,14 +34,13 @@ pub(crate) struct StreamSession {
 
 impl StreamSession {
     /// Opens a session: builds the detector from the spec and returns the
-    /// session plus the [`WriteItem::Session`] to queue. Also accounts the
-    /// open on `metrics`.
+    /// session plus its `stream_open` ack. Also accounts the open on
+    /// `metrics`.
     pub(crate) fn open(
         id: u64,
         spec: &StreamOpenSpec,
-        inflight: usize,
         metrics: &ServerMetrics,
-    ) -> (StreamSession, WriteItem) {
+    ) -> (StreamSession, Json) {
         let p = &spec.params;
         let mut rule = TrackRule::new(p.speed(), p.period_s(), p.sensing_range());
         if spec.torus {
@@ -78,7 +52,6 @@ impl StreamSession {
             spec.max_tracks
         };
         let config = StreamConfig::new(rule, p.k(), p.m_periods()).with_max_tracks(max_tracks);
-        let (tx, rx) = mpsc::sync_channel::<Json>(inflight.max(1));
         metrics.stream_sessions_opened.inc();
         metrics.stream_open_sessions.fetch_add(1, Ordering::Relaxed);
         let ack = Json::obj(vec![
@@ -92,26 +65,12 @@ impl StreamSession {
         ]);
         let session = StreamSession {
             detector: StreamDetector::new(config),
-            tx,
             open_id: id,
             reports: 0,
             events: 0,
             published_tracks: 0,
         };
-        (session, WriteItem::Session { ack, rx })
-    }
-
-    fn send(&self, line: Json) -> SessionFlow {
-        if self.tx.send(line).is_err() {
-            return SessionFlow::Dead;
-        }
-        SessionFlow::Continue
-    }
-
-    /// Pushes a response generated outside the session verbs (transport
-    /// errors) through the session channel. `Err` means the writer died.
-    pub(crate) fn push(&self, line: Json) -> Result<(), ()> {
-        self.tx.send(line).map_err(|_| ())
+        (session, ack)
     }
 
     /// Folds the detector's live-track count into the cross-session gauge.
@@ -130,12 +89,15 @@ impl StreamSession {
         self.published_tracks = now;
     }
 
-    fn ingest(
+    /// Ingests one `report` batch and queues its ack, then one line per
+    /// detection event. Returns false when the writer is gone.
+    pub(crate) fn ingest(
         &mut self,
         id: u64,
         reports: &[DetectionReport],
         metrics: &ServerMetrics,
-    ) -> SessionFlow {
+        tx: &SyncSender<WriteItem>,
+    ) -> bool {
         let received = Instant::now();
         let before = self.detector.stats();
         let events = self.detector.ingest(reports);
@@ -161,19 +123,19 @@ impl StreamSession {
             ("late".to_string(), Json::from(late)),
             ("events".to_string(), Json::from(events.len())),
         ]);
-        if let SessionFlow::Dead = self.send(ack) {
-            return SessionFlow::Dead;
+        if tx.send(WriteItem::Ready(ack)).is_err() {
+            return false;
         }
         for event in &events {
             let line = render_event(self.open_id, event);
-            if let SessionFlow::Dead = self.send(line) {
-                return SessionFlow::Dead;
+            if tx.send(WriteItem::Ready(line)).is_err() {
+                return false;
             }
             // Report receipt → event handed to the writer; the wire adds
             // only socket time on top.
             metrics.stream_event_latency.record(received.elapsed());
         }
-        SessionFlow::Continue
+        true
     }
 
     /// Books the session out of the open-session and live-track gauges.
@@ -186,19 +148,18 @@ impl StreamSession {
         self.published_tracks = 0;
     }
 
-    /// Clean close: final ack through the session channel, then the
-    /// channel drops, ending the writer's session item.
-    fn close(mut self, id: u64, metrics: &ServerMetrics) -> SessionFlow {
+    /// Clean close: books the session out and returns the `stream_close`
+    /// ack. The caller drops the session afterwards.
+    pub(crate) fn close(&mut self, id: u64, metrics: &ServerMetrics) -> Json {
         self.retire(metrics);
         metrics.stream_sessions_closed.inc();
-        let ack = Json::obj(vec![
+        Json::obj(vec![
             ("id".to_string(), Json::Int(id as i64)),
             ("ok".to_string(), Json::Bool(true)),
             ("stream_end".to_string(), Json::Bool(true)),
             ("reports".to_string(), Json::from(self.reports)),
             ("events".to_string(), Json::from(self.events)),
-        ]);
-        self.send(ack)
+        ])
     }
 
     /// Teardown without a `stream_close` (disconnect or server drain):
@@ -224,103 +185,4 @@ fn render_event(open_id: u64, event: &DetectionEvent) -> Json {
             ]),
         ),
     ])
-}
-
-/// Handles a verb on a connection whose session is open. Every response
-/// goes through the session channel (see the module docs for why).
-pub(crate) fn handle_in_session(
-    id: u64,
-    verb: Verb,
-    session_slot: &mut Option<StreamSession>,
-    shared: &Arc<ServerShared>,
-    watch_tokens: &mut Vec<CancelToken>,
-) -> SessionFlow {
-    let Some(session) = session_slot.as_mut() else {
-        // Callers only route here with an open session.
-        return SessionFlow::Continue;
-    };
-    let metrics = &shared.metrics;
-    match verb {
-        Verb::Report { reports } => {
-            metrics.record_verb("report");
-            session.ingest(id, &reports, metrics)
-        }
-        Verb::StreamClose => {
-            metrics.record_verb("stream_close");
-            match session_slot.take() {
-                Some(active) => active.close(id, metrics),
-                None => SessionFlow::Continue,
-            }
-        }
-        Verb::Ping => {
-            metrics.record_verb("ping");
-            session.send(protocol::pong(id))
-        }
-        Verb::Metrics { sections } => {
-            metrics.record_verb("metrics");
-            session.send(shared.metrics_snapshot().render_metrics(id, &sections))
-        }
-        Verb::Stats => {
-            metrics.record_verb("stats");
-            metrics.deprecated_verb_calls.inc();
-            session.send(shared.metrics_snapshot().render_stats(id))
-        }
-        Verb::Store => {
-            metrics.record_verb("store");
-            metrics.deprecated_verb_calls.inc();
-            session.send(shared.metrics_snapshot().render_store(id))
-        }
-        Verb::Unwatch => {
-            metrics.record_verb("unwatch");
-            let cancelled = watch_tokens.iter().filter(|t| !t.is_cancelled()).count();
-            for token in watch_tokens.drain(..) {
-                token.cancel();
-            }
-            metrics.registry().reap_cancelled();
-            session.send(Json::obj(vec![
-                ("id".to_string(), Json::Int(id as i64)),
-                ("ok".to_string(), Json::Bool(true)),
-                ("unwatched".to_string(), Json::from(cancelled)),
-            ]))
-        }
-        Verb::Shutdown => {
-            metrics.record_verb("shutdown");
-            let ack = Json::obj(vec![
-                ("id".to_string(), Json::Int(id as i64)),
-                ("ok".to_string(), Json::Bool(true)),
-                ("shutting_down".to_string(), Json::Bool(true)),
-            ]);
-            shared.begin_shutdown();
-            session.send(ack)
-        }
-        Verb::StreamOpen(_) => {
-            metrics.record_verb("stream_open");
-            metrics.rejected.inc();
-            session.send(protocol::error_response(
-                Some(id),
-                ErrorCode::BadRequest,
-                "a stream session is already open on this connection",
-            ))
-        }
-        Verb::Eval(_) => {
-            metrics.record_verb("eval");
-            metrics.rejected.inc();
-            session.send(protocol::error_response(
-                Some(id),
-                ErrorCode::BadRequest,
-                "eval is not available while a stream session is open; \
-                 send stream_close first",
-            ))
-        }
-        Verb::Watch { .. } => {
-            metrics.record_verb("watch");
-            metrics.rejected.inc();
-            session.send(protocol::error_response(
-                Some(id),
-                ErrorCode::BadRequest,
-                "watch is not available while a stream session is open; \
-                 send stream_close first",
-            ))
-        }
-    }
 }

@@ -1,6 +1,7 @@
 //! End-to-end streaming detection sessions against a live server: the
-//! wire protocol round trip, the in-session verb rules, the metrics
-//! accounting, and drain/disconnect teardown.
+//! wire protocol round trip, the in-session verb rules, reply order for
+//! pipelined session lines, the metrics accounting, and drain/disconnect
+//! teardown.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -104,8 +105,16 @@ fn report_line(id: u64, reports: &[DetectionReport]) -> String {
     .render()
 }
 
+/// A trial's reports split into one batch per period, in period order.
+fn period_batches(reports: &[DetectionReport]) -> Vec<&[DetectionReport]> {
+    reports.chunk_by(|a, b| a.period == b.period).collect()
+}
+
 const OPEN_LINE: &str =
     r#"{"id":1,"verb":"stream_open","params":{"n":240,"m":10,"k":3},"boundary":"torus"}"#;
+
+/// Report ids of the session tests: batch `i` is sent as id `FIRST_REPORT_ID + i`.
+const FIRST_REPORT_ID: u64 = 100;
 
 #[test]
 fn session_round_trip_replays_the_simulator() {
@@ -127,7 +136,8 @@ fn session_round_trip_replays_the_simulator() {
     assert_eq!(u(&ack, "k"), 3);
     assert_eq!(u(&ack, "m"), 10);
 
-    // Control verbs answer through the session; eval/watch/reopen do not.
+    // Control verbs still answer while the session is open; eval, watch
+    // and a second stream_open are rejected.
     conn.send(r#"{"id":2,"verb":"ping"}"#);
     let pong = conn.recv();
     assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
@@ -142,20 +152,13 @@ fn session_round_trip_replays_the_simulator() {
     // Feed the trial period by period; collect pushed detection events.
     let mut sent = 0u64;
     let mut events: Vec<(u64, u64)> = Vec::new(); // (seq, period)
-    let mut next_id = 100u64;
-    let mut i = 0;
-    while i < outcome.reports.len() {
-        let period = outcome.reports[i].period;
-        let mut j = i;
-        while j < outcome.reports.len() && outcome.reports[j].period == period {
-            j += 1;
-        }
-        conn.send(&report_line(next_id, &outcome.reports[i..j]));
+    for (id, batch) in (FIRST_REPORT_ID..).zip(period_batches(&outcome.reports)) {
+        conn.send(&report_line(id, batch));
         let ack = conn.recv();
-        assert_eq!(u(&ack, "id"), next_id, "acks arrive in order");
-        assert_eq!(u(&ack, "ingested"), (j - i) as u64);
+        assert_eq!(u(&ack, "id"), id, "acks arrive in order");
+        assert_eq!(u(&ack, "ingested"), batch.len() as u64);
         assert_eq!(u(&ack, "late"), 0);
-        sent += (j - i) as u64;
+        sent += batch.len() as u64;
         for _ in 0..u(&ack, "events") {
             let line = conn.recv();
             // Events are tagged with the stream_open id.
@@ -163,8 +166,6 @@ fn session_round_trip_replays_the_simulator() {
             let event = line.get("event").expect("event body");
             events.push((u(event, "seq"), u(event, "period")));
         }
-        next_id += 1;
-        i = j;
     }
     assert!(!events.is_empty(), "detected trial must emit events");
     assert_eq!(
@@ -216,6 +217,81 @@ fn session_round_trip_replays_the_simulator() {
 }
 
 #[test]
+fn pipelined_session_lines_come_back_in_submission_order() {
+    let (params, config) = scenario();
+    let outcome = (0..64)
+        .map(|trial| run_trial(&config, trial))
+        .find(|o| o.first_detection_period(params.k()).is_some())
+        .expect("scenario produces detections");
+    let batches = period_batches(&outcome.reports);
+    let (addr, handle, thread) = boot();
+
+    // Reference: one report line at a time, each reply read before the
+    // next line goes out. `expected[i]` is batch i's ack and its events.
+    let mut conn = Conn::connect(&addr);
+    conn.send(OPEN_LINE);
+    conn.recv();
+    let mut expected: Vec<Vec<String>> = Vec::new();
+    for (id, batch) in (FIRST_REPORT_ID..).zip(&batches) {
+        conn.send(&report_line(id, batch));
+        let ack = conn.recv();
+        let mut lines = vec![ack.render()];
+        lines.extend((0..u(&ack, "events")).map(|_| conn.recv().render()));
+        expected.push(lines);
+    }
+    assert!(
+        expected.iter().any(|lines| lines.len() > 1),
+        "the replayed trial must emit events"
+    );
+    drop(conn);
+
+    // The same session pipelined: every report, a ping, a malformed line,
+    // a metrics request and the close go out in one write.
+    let mut conn = Conn::connect(&addr);
+    conn.send(OPEN_LINE);
+    conn.recv();
+    let mut burst = String::new();
+    for (id, batch) in (FIRST_REPORT_ID..).zip(&batches) {
+        burst.push_str(&report_line(id, batch));
+        burst.push('\n');
+    }
+    burst.push_str(concat!(
+        r#"{"id":2,"verb":"ping"}"#,
+        "\n{not json\n",
+        r#"{"id":3,"verb":"metrics","sections":["stream"]}"#,
+        "\n",
+        r#"{"id":4,"verb":"stream_close"}"#,
+    ));
+    conn.send(&burst);
+
+    for lines in &expected {
+        for line in lines {
+            assert_eq!(&conn.recv().render(), line, "report replies in order");
+        }
+    }
+    let pong = conn.recv();
+    assert_eq!(u(&pong, "id"), 2);
+    assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+    let malformed = conn.recv();
+    assert_eq!(error_code(&malformed), "bad_request");
+    let metrics = conn.recv();
+    assert_eq!(u(&metrics, "id"), 3);
+    assert!(metrics
+        .get("metrics")
+        .and_then(|m| m.get("stream"))
+        .is_some());
+    let end = conn.recv();
+    assert_eq!(u(&end, "id"), 4);
+    assert_eq!(end.get("stream_end").and_then(Json::as_bool), Some(true));
+    assert_eq!(u(&end, "reports"), outcome.reports.len() as u64);
+    let events: usize = expected.iter().map(|lines| lines.len() - 1).sum();
+    assert_eq!(u(&end, "events"), events as u64);
+
+    handle.shutdown();
+    thread.join().expect("server thread").expect("server run");
+}
+
+#[test]
 fn disconnect_and_drain_both_account_open_sessions() {
     let (_, config) = scenario();
     let outcome = run_trial(&config, 0);
@@ -252,7 +328,7 @@ fn disconnect_and_drain_both_account_open_sessions() {
     );
 
     // Session B: still open when the server drains; shutdown is answered
-    // through the session channel, then teardown aborts the session.
+    // in order through the writer queue, then teardown aborts the session.
     let mut conn = Conn::connect(&addr);
     conn.send(OPEN_LINE);
     conn.recv();

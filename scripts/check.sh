@@ -3,7 +3,7 @@
 # suite. Run before every push; CI mirrors these steps.
 #
 #   scripts/check.sh                the standard gate, including the
-#                                   store crash smoke below
+#                                   store crash and stream smokes below
 #   scripts/check.sh --chaos        additionally run the fault-injection
 #                                   suite under three seeds (deterministic
 #                                   per seed)
@@ -43,15 +43,19 @@
 #                                   answers (bit-identity against a local
 #                                   engine), at least one failover, and a
 #                                   clean drain of every survivor
-#   scripts/check.sh --stream-smoke additionally boot a server on an
-#                                   ephemeral port, drive streaming
-#                                   detection sessions via loadgen
-#                                   --report-stream, require at least one
-#                                   detection event with report/event
-#                                   counts reconciled against the stream
-#                                   metrics section, then prove a drain
-#                                   with a session still open reaps it
-#                                   and exits cleanly
+#   scripts/check.sh --stream-smoke boot a server on an ephemeral port,
+#                                   drive streaming detection sessions
+#                                   via loadgen --report-stream, require
+#                                   at least one detection event with
+#                                   report/event counts reconciled
+#                                   against the stream metrics section,
+#                                   then prove a drain with a session
+#                                   still open reaps it and exits
+#                                   cleanly. Part of the standard gate,
+#                                   since it guards the connection write
+#                                   path every session line goes
+#                                   through; the flag is kept for
+#                                   existing callers
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,7 +65,7 @@ sim_bench_smoke=0
 store_smoke=1
 obs_smoke=0
 cluster_smoke=0
-stream_smoke=0
+stream_smoke=1
 for arg in "$@"; do
   case "$arg" in
     --chaos) chaos=1 ;;
@@ -561,8 +565,8 @@ if [ "$stream_smoke" -eq 1 ]; then
   #      with the server's `stream` metrics section (all sessions closed,
   #      none left open)
   #   3. open one more session, leave it open, and send the shutdown verb
-  #      through it: the drain must answer through the session channel,
-  #      reap the still-open session (accounted as aborted, zero live
+  #      through it: the drain must answer it in order through the
+  #      connection's writer queue, reap the still-open session (accounted as aborted, zero live
   #      tracks), and exit cleanly — no hang, no SIGKILL
   echo "==> stream smoke (loadgen --report-stream + drain with open session)"
   target/release/groupdet serve --addr 127.0.0.1:0 --json \
@@ -597,8 +601,8 @@ with socket.create_connection((host, int(port)), timeout=10) as s:
     if json.loads(f.readline()).get("ingested") != 1:
         print("stream smoke: FAILED: report not ingested", file=sys.stderr)
         sys.exit(1)
-    # Shutdown with the session still open: the ack must arrive through
-    # the session channel, and the server must reap the session to drain.
+    # Shutdown with the session still open: the ack must arrive in order
+    # after the report ack, and the server must reap the session to drain.
     s.sendall(b'{"id":3,"verb":"shutdown"}\n')
     ack = json.loads(f.readline())
     if ack.get("shutting_down") is not True:

@@ -217,17 +217,20 @@ fn eight_clients_match_direct_evaluate_batch_bit_for_bit() {
 
     // Server-side acceptance counters: mean batch size > 1, zero shed.
     let mut control = Client::connect(addr);
-    control.send(r#"{"id":0,"verb":"stats"}"#);
-    let stats = control.recv();
-    let stats = stats.get("stats").unwrap();
-    let factor = stats
+    control.send(r#"{"id":0,"verb":"metrics","sections":["server"]}"#);
+    let metrics = control.recv();
+    let counters = metrics
+        .get("metrics")
+        .and_then(|m| m.get("server"))
+        .unwrap();
+    let factor = counters
         .get("coalescing_factor")
         .and_then(Json::as_f64)
         .unwrap();
     assert!(factor > 1.0, "no coalescing happened: factor = {factor}");
-    assert_eq!(stats.get("shed").and_then(Json::as_u64), Some(0));
+    assert_eq!(counters.get("shed").and_then(Json::as_u64), Some(0));
     assert_eq!(
-        stats.get("evaluated").and_then(Json::as_u64),
+        counters.get("evaluated").and_then(Json::as_u64),
         Some((CLIENTS * PER_CLIENT) as u64)
     );
     server.stop();
@@ -562,11 +565,11 @@ fn shutdown_verb_drains_and_stops_the_server() {
 }
 
 // ---------------------------------------------------------------------------
-// Observability: metrics verb, deprecated aliases, watch, exposition
+// Observability: metrics verb, watch, exposition
 // ---------------------------------------------------------------------------
 
 #[test]
-fn metrics_verb_selects_sections_and_aliases_stay_byte_compatible() {
+fn metrics_verb_selects_sections_and_retired_aliases_are_unknown_verbs() {
     let server = start(ServeConfig::default(), Engine::new());
     let mut client = Client::connect(server.addr);
     client.send(r#"{"id":1,"verb":"eval","params":{"n":60}}"#);
@@ -624,49 +627,34 @@ fn metrics_verb_selects_sections_and_aliases_stay_byte_compatible() {
     let bad = client.recv();
     assert_eq!(error_code(&bad), Some("bad_request"));
 
-    // The deprecated `stats` alias answers the pre-redesign payload key
-    // for key, with only the top-level `deprecated` flag added.
-    client.send(r#"{"id":5,"verb":"stats"}"#);
-    let stats = client.recv();
-    assert_eq!(stats.get("deprecated").and_then(Json::as_bool), Some(true));
-    let legacy = stats.get("stats").unwrap();
-    let keys: Vec<&str> = match legacy {
+    // The retired `stats`/`store` aliases get the answer any unknown verb
+    // gets, the connection keeps serving, and `verbs` no longer counts
+    // them.
+    for (id, verb) in [(5, "stats"), (6, "store")] {
+        client.send(&format!(r#"{{"id":{id},"verb":"{verb}"}}"#));
+        let gone = client.recv();
+        assert_eq!(error_code(&gone), Some("bad_request"));
+        assert_eq!(gone.get("id").and_then(Json::as_u64), Some(id));
+        let message = gone
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap();
+        assert!(message.starts_with("unknown verb"), "{message}");
+    }
+    client.send(r#"{"id":7,"verb":"metrics","sections":["server"]}"#);
+    let after = client.recv();
+    let verbs = after
+        .get("metrics")
+        .and_then(|m| m.get("server"))
+        .and_then(|s| s.get("verbs"))
+        .unwrap();
+    let keys: Vec<&str> = match verbs {
         Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
-        other => panic!("stats body is not an object: {other:?}"),
+        other => panic!("verbs is not an object: {other:?}"),
     };
-    assert_eq!(
-        keys,
-        [
-            "queue_depth",
-            "connections_total",
-            "connections_active",
-            "admitted",
-            "evaluated",
-            "shed",
-            "rejected",
-            "batches_flushed",
-            "flushes_by_size",
-            "flushes_by_timer",
-            "coalescing_factor",
-            "cache",
-            "latency_us",
-            "queue_wait_us",
-            "compute_us",
-        ]
-    );
-    assert_eq!(legacy.get("evaluated").and_then(Json::as_u64), Some(1));
-
-    // Same for the deprecated `store` alias (no store attached here).
-    client.send(r#"{"id":6,"verb":"store"}"#);
-    let store = client.recv();
-    assert_eq!(store.get("deprecated").and_then(Json::as_bool), Some(true));
-    assert_eq!(
-        store
-            .get("store")
-            .and_then(|s| s.get("attached"))
-            .and_then(Json::as_bool),
-        Some(false)
-    );
+    assert_eq!(keys, gbd_serve::VERBS);
+    assert!(verbs.get("stats").is_none() && verbs.get("store").is_none());
     server.stop();
 }
 
